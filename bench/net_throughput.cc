@@ -1,32 +1,23 @@
 /**
  * @file
  * Networked replay throughput: loopback streams/sec at 1, 2, 4, ...
- * concurrent clients against a TeaServer, on both connection engines.
+ * concurrent clients against a TeaServer.
  *
  * Records one `syn.gzip` trace log, uploads the automaton once, then
  * replays a fixed batch of streams through N client threads (server
- * sized to N workers). Every configuration is run twice — once on the
- * blocking thread-per-connection core and once on the epoll event-loop
- * core — and at every scale the client-side results are checked
- * bit-identical to a local ReplayService::runBatch over the same jobs:
- * per-stream stats, per-stream profiles, and the merged per-TBB
- * profile — the wire adds framing, never drift.
+ * sized to N workers). At every scale the client-side results are
+ * checked bit-identical to a local ReplayService::runBatch over the
+ * same jobs: per-stream stats, per-stream profiles, and the merged
+ * per-TBB profile — the wire adds framing, never drift.
  *
- * The `held` column is the event-loop core's headline: that many extra
- * connections are opened and parked idle on the server for the whole
- * batch. On the loop core an idle connection costs a few hundred bytes
- * and no thread, so the batch runs at full speed with 512+ spectators;
- * the blocking core would park one pool worker per held connection and
- * deadlock the batch, so held rows are loop-only by construction.
+ * The `held` row opens that many extra connections and parks them idle
+ * on the server for the whole batch. An idle connection costs the
+ * event loop a few hundred bytes and no thread, so the batch runs at
+ * full speed with 512+ spectators.
  *
  * Note the speedup column measures the *host*: on a single-core
  * container every client count necessarily lands near 1.0x, and the
  * delta between net and local streams/sec is the protocol cost.
- *
- * `--min-loop-ratio X` turns the core comparison into a CI gate: the
- * event-loop core's streams/sec at 8 clients must be at least X times
- * the blocking core's, so the readiness loop can never quietly become
- * slower than the engine it replaces.
  *
  * The wire KB/req column counts both directions of every client's
  * socket, divided by the number of replay requests. A final section
@@ -43,8 +34,7 @@
  * can never quietly tax the replay path.
  *
  * Usage: net_throughput [--size test|train|ref] [--streams N]
- *                       [--held-open N] [--min-loop-ratio X]
- *                       [--min-wire-compression X]
+ *                       [--held-open N] [--min-wire-compression X]
  *                       [--min-scrape-ratio X]
  */
 
@@ -52,7 +42,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -91,12 +80,6 @@ recordLog(const Program &prog,
     return bytes;
 }
 
-const char *
-coreName(ServerCore core)
-{
-    return core == ServerCore::Blocking ? "blocking" : "event-loop";
-}
-
 /** One blocking GET against the wire listener; returns the response. */
 std::string
 httpGet(const std::string &endpoint, const std::string &target)
@@ -125,15 +108,12 @@ main(int argc, char **argv)
     size_t streams = 32;
     size_t held_open = 512;
     double min_wire_compression = 0.0;
-    double min_loop_ratio = 0.0;
     double min_scrape_ratio = 0.0;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--streams") && i + 1 < argc)
             streams = static_cast<size_t>(std::atoi(argv[i + 1]));
         if (!std::strcmp(argv[i], "--held-open") && i + 1 < argc)
             held_open = static_cast<size_t>(std::atoi(argv[i + 1]));
-        if (!std::strcmp(argv[i], "--min-loop-ratio") && i + 1 < argc)
-            min_loop_ratio = std::atof(argv[i + 1]);
         if (!std::strcmp(argv[i], "--min-wire-compression") &&
             i + 1 < argc)
             min_wire_compression = std::atof(argv[i + 1]);
@@ -169,24 +149,22 @@ main(int argc, char **argv)
                 streams, static_cast<double>(log.size()) / (1 << 20),
                 hw, localMs);
 
-    TextTable table({"core", "clients", "held", "batch ms", "streams/s",
+    TextTable table({"run", "clients", "held", "batch ms", "streams/s",
                      "speedup", "wire KB/req"});
-    // Speedup baselines and the 8-client gate inputs, per core.
-    double base_sps[2] = {0.0, 0.0};
-    std::map<unsigned, double> sps_by_clients[2];
+    double base_sps = 0.0;  // the 1-client speedup baseline
+    double sps_at_8 = 0.0;  // the scrape gate's denominator
 
     // One measured configuration: `clients` threads splitting the
-    // batch round-robin against a `core` server, with `heldOpen` extra
+    // batch round-robin against a fresh server, with `heldOpen` extra
     // idle connections parked on it and (when `scrape` is set) a
     // concurrent 1 Hz HTTP /metrics scraper on the same listener for
     // the duration. Returns streams/sec, or a negative value after
     // printing the failure.
-    auto runScale = [&](ServerCore core, unsigned clients,
-                        size_t heldOpen, bool scrape) -> double {
+    auto runScale = [&](unsigned clients, size_t heldOpen,
+                        bool scrape) -> double {
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
         cfg.workers = clients;
-        cfg.core = core;
         TeaServer server(cfg);
         server.start();
         std::string ep = server.endpoint();
@@ -293,35 +271,31 @@ main(int argc, char **argv)
                     reference.streams[s].execCounts) {
                 std::fprintf(stderr,
                              "stream %zu diverges from the local batch "
-                             "(%s core, %u clients)\n",
-                             s, coreName(core), clients);
+                             "(%u clients)\n",
+                             s, clients);
                 return -1.0;
             }
             for (size_t i = 0; i < results[s].execCounts.size(); ++i)
                 merged[i] += results[s].execCounts[i];
         }
         if (merged != reference.mergedExecCounts) {
-            std::fprintf(stderr,
-                         "merged profile diverges (%s core, %u "
-                         "clients)\n",
-                         coreName(core), clients);
+            std::fprintf(stderr, "merged profile diverges (%u clients)\n",
+                         clients);
             return -1.0;
         }
 
         double sps = ms > 0 ? 1e3 * static_cast<double>(streams) / ms : 0;
-        int ci = core == ServerCore::Blocking ? 0 : 1;
         if (clients == 1 && heldOpen == 0 && !scrape)
-            base_sps[ci] = sps;
+            base_sps = sps;
         uint64_t wire_total = 0;
         for (uint64_t b : wire)
             wire_total += b;
-        table.addRow({scrape ? "loop+scrape" : coreName(core),
+        table.addRow({scrape ? "scrape" : heldOpen > 0 ? "held" : "scale",
                       std::to_string(clients),
                       std::to_string(heldOpen), TextTable::num(ms, 1),
                       TextTable::num(sps, 1),
-                      TextTable::num(
-                          base_sps[ci] > 0 ? sps / base_sps[ci] : 0.0,
-                          2),
+                      TextTable::num(base_sps > 0 ? sps / base_sps : 0.0,
+                                     2),
                       TextTable::num(static_cast<double>(wire_total) /
                                          static_cast<double>(streams) /
                                          1024.0,
@@ -329,30 +303,23 @@ main(int argc, char **argv)
         return sps;
     };
 
-    // The scaling sweep runs to at least 8 clients on both cores so
-    // the --min-loop-ratio gate always has its comparison point.
-    for (int ci = 0; ci < 2; ++ci) {
-        ServerCore core =
-            ci == 0 ? ServerCore::Blocking : ServerCore::EventLoop;
-        for (unsigned clients = 1; clients <= std::max(8u, hw);
-             clients *= 2) {
-            double sps = runScale(core, clients, 0, false);
-            if (sps < 0)
-                return 1;
-            sps_by_clients[ci][clients] = sps;
-        }
+    // The scaling sweep runs to at least 8 clients so the scrape gate
+    // always has its comparison point.
+    for (unsigned clients = 1; clients <= std::max(8u, hw); clients *= 2) {
+        double sps = runScale(clients, 0, false);
+        if (sps < 0)
+            return 1;
+        if (clients == 8)
+            sps_at_8 = sps;
     }
 
-    // The held-open pile: loop core only — the blocking core would
-    // park one worker per idle connection and starve the batch.
-    if (held_open > 0 &&
-        runScale(ServerCore::EventLoop, 8, held_open, false) < 0)
+    // The held-open pile: 8 clients replaying past the idle spectators.
+    if (held_open > 0 && runScale(8, held_open, false) < 0)
         return 1;
 
-    // The scraped row: same 8-client event-loop batch with the 1 Hz
-    // /metrics scraper sharing the listener (loop core only — the
-    // blocking core has no HTTP path).
-    double scraped_sps = runScale(ServerCore::EventLoop, 8, 0, true);
+    // The scraped row: the same 8-client batch with the 1 Hz /metrics
+    // scraper sharing the listener.
+    double scraped_sps = runScale(8, 0, true);
     if (scraped_sps < 0)
         return 1;
 
@@ -361,28 +328,10 @@ main(int argc, char **argv)
                 "every configuration; held = idle connections parked "
                 "on the server for the whole batch)\n");
 
-    double ratio8 = sps_by_clients[0][8] > 0
-                        ? sps_by_clients[1][8] / sps_by_clients[0][8]
-                        : 0.0;
-    std::printf("event-loop vs blocking at 8 clients: %.1f vs %.1f "
-                "streams/s (%.2fx)\n",
-                sps_by_clients[1][8], sps_by_clients[0][8], ratio8);
-    if (min_loop_ratio > 0 && ratio8 < min_loop_ratio) {
-        std::printf("FAIL: event-loop core only %.2fx of the blocking "
-                    "core at 8 clients, gate requires %.2fx\n",
-                    ratio8, min_loop_ratio);
-        return 1;
-    }
-    if (min_loop_ratio > 0)
-        std::printf("PASS: event-loop/blocking ratio %.2fx >= %.2fx\n",
-                    ratio8, min_loop_ratio);
-
-    double scrape_ratio = sps_by_clients[1][8] > 0
-                              ? scraped_sps / sps_by_clients[1][8]
-                              : 0.0;
+    double scrape_ratio = sps_at_8 > 0 ? scraped_sps / sps_at_8 : 0.0;
     std::printf("scraped vs unscraped at 8 clients: %.1f vs %.1f "
                 "streams/s (%.2fx under a 1 Hz /metrics scraper)\n",
-                scraped_sps, sps_by_clients[1][8], scrape_ratio);
+                scraped_sps, sps_at_8, scrape_ratio);
     if (min_scrape_ratio > 0 && scrape_ratio < min_scrape_ratio) {
         std::printf("FAIL: scraped throughput only %.2fx of unscraped, "
                     "gate requires %.2fx\n",

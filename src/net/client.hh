@@ -53,7 +53,7 @@ class ServerBusy : public FatalError
   public:
     using FatalError::FatalError;
 
-    uint32_t queueDepth = 0;  ///< sessions waiting for a worker
+    uint32_t queueDepth = 0;  ///< consume tasks waiting for a worker
     uint32_t maxSessions = 0; ///< server's live-connection cap (0 = none)
 };
 

@@ -65,6 +65,9 @@ timerKind(uint64_t key)
 /** How long the poll may sleep with no timer armed (ms). */
 constexpr uint64_t kIdlePollMs = 200;
 
+/** Timer-wheel granularity (ms); deadlines round up to it. */
+constexpr uint64_t kTickMs = 4;
+
 constexpr size_t kReadChunk = 64 * 1024;
 
 } // namespace
@@ -312,7 +315,7 @@ constexpr size_t kMaxHttpRequest = 8 * 1024;
 EventLoop::EventLoop(TeaServer &server)
     : srv(server),
       poller_(new Poller(server.cfg.loopForcePoll)),
-      wheel_(server.cfg.loopTickMs == 0 ? 4 : server.cfg.loopTickMs),
+      wheel_(kTickMs),
       loopRng_(server.cfg.loopFaultSeed ^ 0x9e3779b97f4a7c15ull),
       readScratch_(kReadChunk)
 {
@@ -428,7 +431,7 @@ EventLoop::handleAccept()
             return;
         Socket sock;
         Socket::IoResult res = srv.listener.acceptNb(sock);
-        if (res.wouldBlock || res.closed)
+        if (res.wouldBlock)
             return;
         admit(std::move(sock));
     }
@@ -454,13 +457,11 @@ EventLoop::admit(Socket sock)
     conns_.emplace(c->id, std::move(conn));
 
     if (busy) {
-        // Backpressure at the door, exactly like the blocking core:
-        // one BUSY frame naming the queue depth and the cap, then
-        // close once it flushes. No Session is built, nothing of the
-        // client's is buffered.
+        // Backpressure at the door: one BUSY frame naming the queue
+        // depth and the cap, then close once it flushes. No Session is
+        // built, nothing of the client's is buffered.
         c->busyReject = true;
         c->closing = true;
-        srv.rejected.fetch_add(1);
         srv.mBusy->inc();
         PayloadWriter w;
         w.u32(static_cast<uint32_t>(std::min<size_t>(depth, UINT32_MAX)));
@@ -731,8 +732,7 @@ EventLoop::completeConsume(Conn *c)
 
     if (c->taskCompleted != c->lastCompleted) {
         // One or more requests finished in this consume: end-to-end
-        // latency, Request span, slow-request log — the same
-        // bookkeeping the blocking core does inline.
+        // latency, Request span, slow-request log.
         c->lastCompleted = c->taskCompleted;
         uint64_t endNs = obs::monotonicNanos();
         uint64_t durNs = endNs - c->requestStartNs;
@@ -800,7 +800,6 @@ EventLoop::queueBytes(Conn *c, const uint8_t *data, size_t len)
         // There is no way to tell it (the pipe is exactly what is
         // full), so: count, log rate-limited, close.
         srv.mLoopOverflow->inc();
-        srv.evicted.fetch_add(1);
         srv.mEvictDeadline->inc();
         RateLimiter &limiter = sharedWarnLimiter();
         if (limiter.allow()) {
@@ -887,7 +886,6 @@ EventLoop::handleWritable(Conn *c)
 void
 EventLoop::evict(Conn *c, const char *why, bool deadline)
 {
-    srv.evicted.fetch_add(1);
     (deadline ? srv.mEvictDeadline : srv.mEvictIdle)->inc();
     PayloadWriter w;
     w.u8(1); // fatal: the connection closes after this frame
@@ -1008,7 +1006,6 @@ EventLoop::destroy(Conn *c)
     srv.mLoopFaults->inc(c->sock.faultsInjected());
     if (!c->busyReject) {
         live_.fetch_sub(1);
-        srv.served.fetch_add(1);
         srv.mSessions->inc();
     }
     conns_.erase(c->id); // frees c
@@ -1033,9 +1030,8 @@ EventLoop::beginDrain()
         c->wantIn = false;
         if (c->processing) {
             // In-flight replay: its completion sees draining_ and
-            // closes after flushing the reply — the same "running
-            // replay completes and its reply reaches the client"
-            // promise the blocking stop() makes.
+            // closes after flushing the reply, so a running replay's
+            // result still reaches the client.
             updateInterest(c);
             wheel_.schedule(timerKey(c->id, kTimerDrain),
                             now + srv.cfg.drainDeadlineMs);

@@ -1,16 +1,14 @@
 /**
  * @file
- * The event-loop server core: one thread, epoll (or poll) readiness,
- * nonblocking sockets, bounded write queues, and a timer wheel.
+ * TeaServer's connection engine: one thread, epoll (or poll)
+ * readiness, nonblocking sockets, bounded write queues, and a timer
+ * wheel.
  *
- * The thread-per-connection core (net/server.hh) parks one pool worker
- * on every live socket, so concurrency is capped at the worker count
- * and an idle or hostile connection holds a thread hostage. This core
- * inverts the ownership: the loop thread owns every socket, all
- * accept/read/write I/O, and the whole connection lifecycle; the
- * ThreadPool only ever runs Session::consume() — the CPU work — and
- * hands the result back through a completion queue drained on a wakeup
- * eventfd/pipe. Session itself needed no changes: it was always a
+ * The loop thread owns every socket, all accept/read/write I/O, and
+ * the whole connection lifecycle; the ThreadPool only ever runs
+ * Session::consume() — the CPU work — and hands the result back
+ * through a completion queue drained on a wakeup eventfd/pipe. An idle
+ * or hostile connection therefore holds no thread. Session is a
  * socket-free byte-stream state machine, which is exactly the shape a
  * readiness loop schedules.
  *
@@ -33,9 +31,9 @@
  *   (maxWriteQueueBytes) the connection is fatally closed — memory is
  *   bounded per connection, no matter how hostile the peer;
  * - *timer wheel*: idle timeouts, mid-request deadlines, and drain
- *   deadlines are hashed-wheel timers (net/timer_wheel.hh) — no
- *   per-session waitReadable() polling, O(1) arm/cancel, and the
- *   firing cost scales with expirations, not connections;
+ *   deadlines are hashed-wheel timers (net/timer_wheel.hh) — O(1)
+ *   arm/cancel, and the firing cost scales with expirations, not
+ *   connections;
  * - *overload shedding*: admission is checked at accept — pool backlog
  *   past maxQueue or live connections past maxSessions answer one BUSY
  *   frame (with the queue depth and cap, so clients back off smart)
@@ -46,8 +44,8 @@
  *
  * Fault injection: connections are held through FaultySocket, so the
  * chaos config (ServerConfig::loopFaults) can inject EAGAIN storms,
- * partial writes, and spurious readiness — nonblocking failure shapes
- * the blocking core could never meet. Unarmed (the default) every call
+ * partial writes, and spurious readiness — the nonblocking failure
+ * shapes epoll may legally produce. Unarmed (the default) every call
  * passes straight through.
  */
 

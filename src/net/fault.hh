@@ -50,7 +50,7 @@ enum class FaultKind : uint8_t {
     Delay,
     Reset,
     Corrupt,
-    // Nonblocking-only kinds (the event-loop core's I/O surface): the
+    // Nonblocking-only kinds (the server event loop's I/O surface): the
     // blocking calls never roll these.
     NbEagainRead,   ///< recvNb reports wouldBlock without reading
     NbEagainWrite,  ///< sendNb reports wouldBlock without writing
@@ -84,7 +84,7 @@ struct FaultConfig
     // any result — EAGAIN storms and spurious wakeups are exactly what
     // epoll is allowed to do to a correct server. Rolled only by
     // recvNb/sendNb (and SpuriousReady by the loop itself); the
-    // blocking calls, and therefore the blocking core, never see them.
+    // blocking calls the client uses never see them.
     double nbEagainRead = 0.0;   ///< recvNb: spurious wouldBlock
     double nbEagainWrite = 0.0;  ///< sendNb: spurious wouldBlock
     double nbPartialWrite = 0.0; ///< sendNb: truncate the attempt
@@ -162,8 +162,6 @@ class FaultySocket
 
     void setNonBlocking(bool on) { sock.setNonBlocking(on); }
     int fd() const { return sock.fd(); }
-    int waitReadable(int timeoutMs) { return sock.waitReadable(timeoutMs); }
-    void shutdownRead() { sock.shutdownRead(); }
     void close() { sock.close(); }
     bool valid() const { return sock.valid(); }
 

@@ -294,7 +294,7 @@ ReplayStats decodeStats(PayloadReader &r);
 /** The PONG liveness snapshot (and the server-side provider's view). */
 struct ServerStatus
 {
-    uint32_t queueDepth = 0;     ///< sessions waiting for a worker
+    uint32_t queueDepth = 0;     ///< consume tasks waiting for a worker
     uint32_t activeSessions = 0; ///< connections currently served
     uint64_t uptimeMs = 0;       ///< since the server started
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "net/event_loop.hh"
@@ -56,9 +55,7 @@ TeaServer::TeaServer(ServerConfig config)
     hRequestMs = &metrics_.histogram("server.request_ms");
     hTaskMs = &metrics_.histogram("pool.task_ms");
 
-    // Event-loop core health. Registered unconditionally so the metric
-    // catalog is stable across cores; on the blocking core they all
-    // read zero (a cheap, greppable signal of which engine ran).
+    // Event-loop health.
     mLoopIterations = &metrics_.counter("loop.iterations");
     mLoopWakeups = &metrics_.counter("loop.wakeups");
     mLoopTimers = &metrics_.counter("loop.timers_fired");
@@ -68,9 +65,6 @@ TeaServer::TeaServer(ServerConfig config)
     mLoopFaults = &metrics_.counter("loop.faults_injected");
     mHttpRequests = &metrics_.counter("loop.http_requests");
     hLoopMs = &metrics_.histogram("loop.latency_ms");
-    metrics_.gaugeFn("loop.sessions", [this] {
-        return loop_ ? static_cast<int64_t>(loop_->liveConns()) : 0;
-    });
 
     svcObs_.spans = &spans_;
     svcObs_.requests = mRequests;
@@ -158,12 +152,6 @@ TeaServer::TeaServer(ServerConfig config)
         if (failed)
             mTaskFailures->inc();
     });
-}
-
-uint64_t
-TeaServer::slowRequests() const
-{
-    return mSlow->value();
 }
 
 std::string
@@ -285,23 +273,15 @@ TeaServer::start()
         panic("tead server: started twice");
     startedAtMs.store(steadyMs());
     listener = Listener::open(Endpoint::parse(cfg.endpoint));
+    loop_.start();
     if (history_)
         samplerThread_ = std::thread([this] { samplerLoop(); });
-    if (cfg.core == ServerCore::EventLoop) {
-        loop_ = std::make_unique<EventLoop>(*this);
-        loop_->start();
-        return;
-    }
-    acceptThread = std::thread([this] { acceptLoop(); });
 }
 
 size_t
 TeaServer::activeSessions() const
 {
-    if (loop_)
-        return loop_->liveConns();
-    std::lock_guard<std::mutex> lock(connMu);
-    return conns.size();
+    return loop_.liveConns();
 }
 
 uint64_t
@@ -321,86 +301,6 @@ uint16_t
 TeaServer::port() const
 {
     return listener.local().port;
-}
-
-void
-TeaServer::acceptLoop()
-{
-    Socket sock;
-    while (listener.accept(sock)) {
-        if (stopping.load())
-            break; // socket closes on loop exit
-        size_t depth = pool.pending();
-        if (depth >= cfg.maxQueue ||
-            (cfg.maxSessions != 0 &&
-             activeSessions() >= cfg.maxSessions)) {
-            // Backpressure: one BUSY frame, then close. Never queue
-            // beyond the bound, never buffer the client's bytes. The
-            // payload tells the client why (depth, cap) so its backoff
-            // can be smarter than a blind sleep.
-            rejected.fetch_add(1);
-            mBusy->inc();
-            PayloadWriter w;
-            w.u32(static_cast<uint32_t>(
-                std::min<size_t>(depth, UINT32_MAX)));
-            w.u32(static_cast<uint32_t>(
-                std::min<size_t>(cfg.maxSessions, UINT32_MAX)));
-            std::vector<uint8_t> busy;
-            appendFrame(busy, MsgType::Busy, w.out());
-            try {
-                sock.sendAll(busy.data(), busy.size());
-                mBytesOut->inc(busy.size());
-            } catch (const FatalError &) {
-                // The client vanished first; nothing to report.
-            }
-            sock.close();
-            continue;
-        }
-        uint64_t id;
-        auto shared = std::make_shared<Socket>(std::move(sock));
-        {
-            std::lock_guard<std::mutex> lock(connMu);
-            id = nextConnId++;
-            conns.emplace(id, shared);
-        }
-        uint64_t acceptNs = obs::monotonicNanos();
-        pool.submit([this, id, shared, acceptNs] {
-            serveConnection(*shared, id, acceptNs);
-            std::lock_guard<std::mutex> lock(connMu);
-            conns.erase(id);
-        });
-    }
-}
-
-void
-TeaServer::evictConnection(Socket &sock, const char *why, bool deadline)
-{
-    evicted.fetch_add(1);
-    (deadline ? mEvictDeadline : mEvictIdle)->inc();
-    PayloadWriter w;
-    w.u8(1); // fatal: the connection closes after this frame
-    w.str(strprintf("connection evicted: %s", why));
-    std::vector<uint8_t> frame;
-    appendFrame(frame, MsgType::Error, w.out());
-    try {
-        sock.sendAll(frame.data(), frame.size());
-        mBytesOut->inc(frame.size());
-    } catch (const FatalError &) {
-        // Socket already dead; the eviction still counts.
-    }
-    // Eviction warnings share the process-wide limiter with the pool's
-    // failure warnings and the slow-request log, so the *total* warn
-    // rate is bounded; drops surface as the log.suppressed metric.
-    RateLimiter &limiter = sharedWarnLimiter();
-    if (limiter.allow()) {
-        uint64_t dropped = limiter.suppressedAndReset();
-        if (dropped > 0)
-            warn("tead: evicted connection (%s); %llu similar warnings "
-                 "suppressed",
-                 why, static_cast<unsigned long long>(dropped));
-        else
-            warn("tead: evicted connection (%s)", why);
-    }
 }
 
 std::unique_ptr<Session>
@@ -427,140 +327,6 @@ TeaServer::makeSession(uint64_t connId)
 }
 
 void
-TeaServer::serveConnection(Socket &sock, uint64_t connId,
-                           uint64_t acceptNs)
-{
-    try {
-        // The Accept span measures queue wait: accept() to worker
-        // pickup. Under load this is the first thing to grow.
-        obs::Span accept;
-        accept.conn = connId;
-        accept.phase = obs::SpanPhase::Accept;
-        accept.startNs = acceptNs;
-        accept.durNs = obs::monotonicNanos() - acceptNs;
-        spans_.push(accept);
-
-        std::unique_ptr<Session> sessionPtr = makeSession(connId);
-        Session &session = *sessionPtr;
-
-        std::vector<uint8_t> replies;
-        uint8_t buf[64 * 1024];
-        // Deadline bookkeeping. `lastByteMs` feeds the idle clock;
-        // `requestStartMs` is stamped at the first byte of a request
-        // and feeds the request clock while session.midRequest().
-        uint64_t lastByteMs = steadyMs();
-        uint64_t requestStartMs = lastByteMs;
-        uint64_t requestStartNs = obs::monotonicNanos();
-        uint64_t lastCompleted = 0;
-        bool midRequest = false;
-        for (;;) {
-            int waitMs = -1;
-            if (cfg.idleTimeoutMs != 0 ||
-                (cfg.requestDeadlineMs != 0 && midRequest)) {
-                uint64_t now = steadyMs();
-                int64_t budget = std::numeric_limits<int64_t>::max();
-                const char *why = nullptr;
-                bool deadline = false;
-                if (cfg.idleTimeoutMs != 0) {
-                    budget = static_cast<int64_t>(
-                        lastByteMs + cfg.idleTimeoutMs - now);
-                    why = "idle timeout";
-                }
-                if (cfg.requestDeadlineMs != 0 && midRequest) {
-                    int64_t left = static_cast<int64_t>(
-                        requestStartMs + cfg.requestDeadlineMs - now);
-                    if (left < budget) {
-                        budget = left;
-                        why = "request deadline exceeded";
-                        deadline = true;
-                    }
-                }
-                if (budget <= 0) {
-                    evictConnection(sock, why, deadline);
-                    break;
-                }
-                waitMs = static_cast<int>(std::min<int64_t>(
-                    budget, std::numeric_limits<int>::max()));
-            }
-            if (sock.waitReadable(waitMs) == 0)
-                continue; // budget recomputed (and now expired) above
-            size_t n = sock.recvSome(buf, sizeof(buf));
-            if (n == 0)
-                break; // peer closed (or stop() shut our read down)
-            mBytesIn->inc(n);
-            uint64_t now = steadyMs();
-            lastByteMs = now;
-            if (!midRequest) {
-                requestStartMs = now; // these bytes open a new request
-                requestStartNs = obs::monotonicNanos();
-            }
-            replies.clear();
-            bool keep = session.consume(buf, n, replies);
-            if (!replies.empty()) {
-                uint64_t tReply = obs::monotonicNanos();
-                sock.sendAll(replies.data(), replies.size());
-                mBytesOut->inc(replies.size());
-                obs::Span rep;
-                rep.conn = connId;
-                rep.request = session.requestsBegun();
-                rep.phase = obs::SpanPhase::Reply;
-                rep.startNs = tReply;
-                rep.durNs = obs::monotonicNanos() - tReply;
-                spans_.push(rep);
-            }
-            uint64_t completed = session.requestsCompleted();
-            if (completed != lastCompleted) {
-                // One or more requests finished with these bytes:
-                // observe the end-to-end latency, stamp the Request
-                // span, and feed the slow-request log.
-                lastCompleted = completed;
-                uint64_t endNs = obs::monotonicNanos();
-                uint64_t durNs = endNs - requestStartNs;
-                double durMs = static_cast<double>(durNs) / 1e6;
-                hRequestMs->observe(durMs);
-                obs::Span req;
-                req.conn = connId;
-                req.request = session.requestsBegun();
-                req.phase = obs::SpanPhase::Request;
-                req.startNs = requestStartNs;
-                req.durNs = durNs;
-                spans_.push(req);
-                std::vector<obs::Span> phases =
-                    session.takeRequestSpans();
-                if (cfg.slowRequestMs != 0 &&
-                    durMs >= static_cast<double>(cfg.slowRequestMs)) {
-                    mSlow->inc();
-                    RateLimiter &limiter = sharedWarnLimiter();
-                    if (limiter.allow()) {
-                        limiter.suppressedAndReset();
-                        std::string breakdown;
-                        for (const obs::Span &s : phases)
-                            breakdown += strprintf(
-                                " %s=%.2fms", obs::spanPhaseName(s.phase),
-                                static_cast<double>(s.durNs) / 1e6);
-                        warn("tead: slow request on conn %llu: %.1f ms "
-                             "(threshold %u ms)%s",
-                             static_cast<unsigned long long>(connId),
-                             durMs, cfg.slowRequestMs,
-                             breakdown.c_str());
-                    }
-                }
-            }
-            if (!keep)
-                break;
-            midRequest = session.midRequest();
-        }
-        served.fetch_add(1);
-        mSessions->inc();
-    } catch (const FatalError &) {
-        // Socket-level failure (peer reset mid-write): the session is
-        // over either way; one broken client must not hurt the server.
-        served.fetch_add(1);
-        mSessions->inc();
-    }
-}
-
-void
 TeaServer::stop()
 {
     if (!started.load() || stopped.exchange(true))
@@ -574,28 +340,13 @@ TeaServer::stop()
         samplerCv_.notify_all();
         samplerThread_.join();
     }
-    if (loop_) {
-        // The loop drains itself: accepts stop, in-flight consume
-        // tasks finish, queued replies flush, stragglers are evicted
-        // at the drain deadline. The listener closes after the loop
-        // thread joined — it owns the fd's poller registration.
-        loop_->stop();
-        listener.close();
-        pool.drain();
-        return;
-    }
-    listener.close(); // wakes the accept loop
-    if (acceptThread.joinable())
-        acceptThread.join();
-    // No new sessions can be admitted now. Shut down reads on the live
-    // ones: blocked recvs wake with EOF; an in-flight replay finishes
-    // and its reply still flushes, because the write side stays open.
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (auto &conn : conns)
-            conn.second->shutdownRead();
-    }
-    pool.drain(); // every running and queued session exits
+    // The loop drains itself: accepts stop, in-flight consume tasks
+    // finish, queued replies flush, stragglers are evicted at the drain
+    // deadline. The listener closes after the loop thread joined — it
+    // owns the fd's poller registration.
+    loop_.stop();
+    listener.close();
+    pool.drain();
 }
 
 } // namespace tea

@@ -11,40 +11,32 @@
  * to a local one — enforced by tests/test_net.cc and
  * bench/net_throughput.
  *
- * Two interchangeable connection engines (ServerConfig::core): the
- * thread-per-connection core documented below, and the epoll/poll
- * event-loop core (net/event_loop.hh) that owns every socket on one
- * thread and scales to tens of thousands of connections. Admission
- * (BUSY), deadlines, eviction, and graceful drain mean the same thing
- * on both; the differences are purely mechanical (who blocks where).
+ * Concurrency model — one event-loop thread owns every socket, the
+ * ThreadPool runs the work (mechanics in net/event_loop.hh):
  *
- * Concurrency model of the blocking core — one accept thread, sessions
- * on a ThreadPool:
- *
- * - the accept loop hands each admitted connection to the worker pool;
- *   a session occupies its worker for the connection's lifetime, so
- *   at most `workers` clients are served concurrently;
- * - admission control is the pool's queue depth
- *   (ThreadPool::pending()) plus an optional live-connection cap
- *   (`maxSessions`): when `maxQueue` sessions already wait for a
- *   worker, or `maxSessions` connections are live, new connections get
- *   one BUSY frame — carrying the queue depth and the cap, so the
- *   client can log *why* and back off smarter — and an immediate
- *   close: backpressure instead of unbounded memory;
- * - sessions carry deadlines: `idleTimeoutMs` bounds how long a
- *   connection may sit sending nothing, `requestDeadlineMs` bounds how
- *   long one request (a partial frame, or an open replay stream) may
- *   take end to end. A dead peer trips the idle clock; a slowloris
- *   trickling a byte at a time keeps the idle clock happy but trips
- *   the request clock. Either way the session worker is reclaimed: the
- *   server sends a best-effort fatal ERROR frame (when the socket is
- *   still writable), counts the eviction, and emits a rate-limited
- *   warning — a flapping client cannot flood the log;
- * - stop() is graceful: the listener closes first (no new
- *   connections), then every live session socket gets a read-side
- *   shutdown — a replay already running completes and its reply is
- *   flushed to the client before the connection closes, because
- *   writes stay open. stop() returns only after every session exited.
+ * - the loop accepts, reads and writes; each batch of bytes a
+ *   connection sends becomes one Session::consume() task on the pool,
+ *   so `workers` bounds concurrent replay/record work, not the number
+ *   of connections — an idle client costs memory, not a thread;
+ * - admission control is checked at accept: when `maxQueue` consume
+ *   tasks already wait for a worker (ThreadPool::pending()), or
+ *   `maxSessions` connections are live, the new connection gets one
+ *   BUSY frame — carrying the queue depth and the cap, so the client
+ *   can log *why* and back off smarter — and is closed once it
+ *   flushes: backpressure instead of unbounded memory;
+ * - connections carry deadlines, kept as timer-wheel clocks:
+ *   `idleTimeoutMs` bounds how long a connection may sit sending
+ *   nothing, `requestDeadlineMs` bounds how long one request (a partial
+ *   frame, or an open replay stream) may take end to end. A dead peer
+ *   trips the idle clock; a slowloris trickling a byte at a time keeps
+ *   the idle clock happy but trips the request clock. Either way the
+ *   server sends a best-effort fatal ERROR frame, counts the eviction,
+ *   and emits a rate-limited warning — a flapping client cannot flood
+ *   the log;
+ * - stop() is graceful: accepts and reads stop, a consume task already
+ *   running completes and its reply is flushed to the client before
+ *   the connection closes, and stragglers are cut at `drainDeadlineMs`.
+ *   stop() returns only after the loop thread and every task finished.
  */
 
 #ifndef TEA_NET_SERVER_HH
@@ -57,8 +49,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
+#include "net/event_loop.hh"
 #include "net/fault.hh"
 #include "net/session.hh"
 #include "net/socket.hh"
@@ -72,36 +64,19 @@
 
 namespace tea {
 
-class EventLoop;
-
-/**
- * Which connection engine drives the server.
- *
- * - `Blocking`: the original thread-per-connection core described in
- *   the file comment above — one pool worker parked per live socket.
- * - `EventLoop`: the single-threaded epoll/poll readiness core
- *   (net/event_loop.hh) — sockets are nonblocking and owned by the
- *   loop, replay/record work still runs on the pool, and idle
- *   connections cost a few hundred bytes instead of a thread. Same
- *   wire protocol, same Session, same BUSY/eviction/deadline meaning;
- *   tests/test_chaos.cc proves both cores bit-identical under fault
- *   injection.
- */
-enum class ServerCore : uint8_t { Blocking, EventLoop };
-
 struct ServerConfig
 {
     /** "tcp:host:port" (port 0 = ephemeral) or "unix:/path". */
     std::string endpoint = "tcp:127.0.0.1:0";
     /** Session workers; 0 picks hardware_concurrency. */
     size_t workers = 0;
-    /** Connections allowed to wait for a worker before BUSY (≥ 1). */
+    /** Consume tasks allowed to wait for a worker before BUSY (≥ 1). */
     size_t maxQueue = 64;
-    /** Live-connection cap before BUSY; 0 = bounded by maxQueue only. */
+    /** Live-connection cap before BUSY; 0 = no cap. */
     size_t maxSessions = 0;
     /**
      * Evict a connection that sends nothing for this long (ms);
-     * 0 disables. A stalled or dead client stops pinning its worker.
+     * 0 disables. A stalled or dead client stops holding its slot.
      */
     uint32_t idleTimeoutMs = 0;
     /**
@@ -156,10 +131,7 @@ struct ServerConfig
     /** Frames the history ring retains (raised to 2 when sampling). */
     size_t historyFrames = 120;
 
-    /** Connection engine; see ServerCore. */
-    ServerCore core = ServerCore::Blocking;
-
-    // ----- event-loop core tuning (ignored by the blocking core) -----
+    // ----- event-loop tuning -----
 
     /**
      * Hard cap on one connection's queued-but-unsent reply bytes. A
@@ -182,8 +154,6 @@ struct ServerConfig
      * evicted. 0 means close stragglers immediately.
      */
     uint32_t drainDeadlineMs = 2000;
-    /** Timer-wheel granularity (ms); deadlines round up to it. */
-    uint32_t loopTickMs = 4;
     /** Use the poll(2) backend even where epoll is available (tests). */
     bool loopForcePoll = false;
     /**
@@ -233,22 +203,26 @@ class TeaServer
 
     size_t workers() const { return pool.workers(); }
 
-    /** Sessions admitted but still waiting for a worker. */
+    /** Consume tasks queued behind busy workers. */
     size_t queueDepth() const { return pool.pending(); }
 
-    /** Live connections (serving or queued). */
+    /** Live admitted connections (BUSY-bounced ones excluded). */
     size_t activeSessions() const;
 
     /** Milliseconds since start(); 0 before it. */
     uint64_t uptimeMs() const;
 
     // Counters for the CLI's exit report and the tests.
-    uint64_t sessionsServed() const { return served.load(); }
-    uint64_t busyRejected() const { return rejected.load(); }
-    /** Connections evicted by the idle or request deadline. */
-    uint64_t sessionsEvicted() const { return evicted.load(); }
+    uint64_t sessionsServed() const { return mSessions->value(); }
+    uint64_t busyRejected() const { return mBusy->value(); }
+    /** Connections evicted by a deadline or the write-queue cap. */
+    uint64_t
+    sessionsEvicted() const
+    {
+        return mEvictIdle->value() + mEvictDeadline->value();
+    }
     /** Requests that exceeded ServerConfig::slowRequestMs. */
-    uint64_t slowRequests() const;
+    uint64_t slowRequests() const { return mSlow->value(); }
 
     /** The server's metric store (counters, gauges, histograms). */
     obs::MetricsRegistry &metrics() { return metrics_; }
@@ -286,14 +260,9 @@ class TeaServer
     bool draining() const { return stopping.load(); }
 
   private:
-    friend class EventLoop; ///< the loop core is an engine of this class
+    friend class EventLoop; ///< the loop is this class's engine
 
-    void acceptLoop();
-    void serveConnection(Socket &sock, uint64_t connId,
-                         uint64_t acceptNs);
-    /** Best-effort fatal ERROR + counters; the session ends after. */
-    void evictConnection(Socket &sock, const char *why, bool deadline);
-    /** A Session wired exactly like serveConnection()'s, for the loop. */
+    /** A Session wired to this server's registry, store and metrics. */
     std::unique_ptr<Session> makeSession(uint64_t connId);
 
     ServerConfig cfg;
@@ -316,7 +285,7 @@ class TeaServer
     obs::Counter *mTaskFailures;   ///< pool.task_failures
     obs::Histogram *hRequestMs;    ///< server.request_ms
     obs::Histogram *hTaskMs;       ///< pool.task_ms
-    // Event-loop health (all stay zero on the blocking core).
+    // Event-loop health.
     obs::Counter *mLoopIterations; ///< loop.iterations
     obs::Counter *mLoopWakeups;    ///< loop.wakeups
     obs::Counter *mLoopTimers;     ///< loop.timers_fired
@@ -346,20 +315,11 @@ class TeaServer
 
     ThreadPool pool;
     Listener listener;
-    std::thread acceptThread;
-    std::unique_ptr<EventLoop> loop_; ///< set when core == EventLoop
-
-    mutable std::mutex connMu;
-    uint64_t nextConnId = 0;
-    /** Live session sockets, so stop() can shut their reads down. */
-    std::unordered_map<uint64_t, std::shared_ptr<Socket>> conns;
+    EventLoop loop_{*this}; ///< started by start()
 
     std::atomic<bool> started{false};
     std::atomic<bool> stopping{false};
     std::atomic<bool> stopped{false};
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> evicted{0};
     std::atomic<uint64_t> startedAtMs{0}; ///< steady clock, for uptime
 };
 

@@ -3,13 +3,12 @@
  * The server side of one tead connection, as a pure state machine.
  *
  * A Session consumes raw wire bytes and produces raw reply bytes; it
- * knows nothing about sockets. Both connection engines pump it: the
- * blocking core (net/server.hh) from a parked worker's recv loop, the
- * event-loop core (net/event_loop.hh) from pool tasks fed by the
- * readiness thread — being socket-free is what lets one state machine
- * serve both. The fuzz tests (tests/test_net_fuzz.cc) pump it with
- * mutated byte streams directly — the whole protocol surface is
- * exercised in-process.
+ * knows nothing about sockets. The server's event loop
+ * (net/event_loop.hh) pumps it from pool tasks fed by the readiness
+ * thread — being socket-free is what lets any worker run a
+ * connection's next batch of bytes. The fuzz tests
+ * (tests/test_net_fuzz.cc) pump it with mutated byte streams directly
+ * — the whole protocol surface is exercised in-process.
  *
  * Error containment is the contract:
  *
@@ -23,8 +22,8 @@
  *   ERROR frame or a closed session. (PanicError still propagates —
  *   that is a library bug, not an input.)
  *
- * Replays run inline on the calling thread — the server executes
- * sessions on its worker pool, so a REPLAY_END does its work on a pool
+ * Replays run inline on the calling thread — the server runs
+ * consume() on its worker pool, so a REPLAY_END does its work on a pool
  * worker, exactly like a ReplayService job. The automaton snapshot is
  * pinned at REPLAY_BEGIN, so a concurrent evict never invalidates the
  * stream being replayed (the registry's immutability contract).

@@ -7,7 +7,6 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -176,22 +175,6 @@ Socket::sendAll(const void *buf, size_t len)
     }
 }
 
-int
-Socket::waitReadable(int timeoutMs)
-{
-    for (;;) {
-        pollfd pfd{fd_, POLLIN, 0};
-        int rv = ::poll(&pfd, 1, timeoutMs);
-        if (rv > 0)
-            return 1; // readable, EOF, or error: recv reports which
-        if (rv == 0)
-            return 0;
-        if (errno == EINTR)
-            continue; // retry with the full budget; callers re-check
-        fatal("poll: %s", std::strerror(errno));
-    }
-}
-
 void
 Socket::setNonBlocking(bool on)
 {
@@ -260,13 +243,6 @@ Socket::sendNb(const void *buf, size_t len)
 }
 
 void
-Socket::shutdownRead()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RD);
-}
-
-void
 Socket::close()
 {
     if (fd_ >= 0) {
@@ -280,7 +256,6 @@ Socket::close()
 Listener::Listener(Listener &&o) noexcept
     : fd_(o.fd_), local_(std::move(o.local_))
 {
-    closing_.store(o.closing_.load());
     o.fd_ = -1;
 }
 
@@ -291,7 +266,6 @@ Listener::operator=(Listener &&o) noexcept
         release();
         fd_ = o.fd_;
         local_ = std::move(o.local_);
-        closing_.store(o.closing_.load());
         o.fd_ = -1;
     }
     return *this;
@@ -353,45 +327,11 @@ Listener::open(const Endpoint &ep)
     return l;
 }
 
-bool
-Listener::accept(Socket &out)
-{
-    for (;;) {
-        if (closing_.load())
-            return false;
-        pollfd pfd{fd_, POLLIN, 0};
-        // A finite poll bounds how long close() can go unnoticed; the
-        // shutdown() in close() usually wakes the poll immediately.
-        int rv = ::poll(&pfd, 1, 200);
-        if (rv < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (rv == 0)
-            continue;
-        if (closing_.load())
-            return false;
-        int cfd = ::accept(fd_, nullptr, nullptr);
-        if (cfd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
-                continue;
-            return false;
-        }
-        out = Socket(cfd);
-        return true;
-    }
-}
-
 Socket::IoResult
 Listener::acceptNb(Socket &out)
 {
     Socket::IoResult res;
     for (;;) {
-        if (closing_.load()) {
-            res.closed = true;
-            return res;
-        }
         int cfd = ::accept(fd_, nullptr, nullptr);
         if (cfd >= 0) {
             out = Socket(cfd);
@@ -409,10 +349,6 @@ Listener::acceptNb(Socket &out)
             // accepting instead of spinning in a fatal loop; pending
             // clients wait in the kernel backlog.)
             res.wouldBlock = true;
-            return res;
-        }
-        if (closing_.load()) {
-            res.closed = true;
             return res;
         }
         fatal("accept: %s", std::strerror(errno));
@@ -433,7 +369,7 @@ Listener::setNonBlocking(bool on)
 void
 Listener::close()
 {
-    if (fd_ >= 0 && !closing_.exchange(true))
+    if (fd_ >= 0)
         ::shutdown(fd_, SHUT_RDWR);
 }
 

@@ -11,12 +11,12 @@
  *
  * Two I/O surfaces share the fd:
  *
- * - the blocking calls (recvSome/sendAll/waitReadable) used by the
- *   client and the thread-per-connection server core; errors surface
- *   as FatalError, EOF is an in-band return value (recvSome() == 0),
- *   because a peer hanging up is a normal protocol event;
+ * - the blocking calls (recvSome/sendAll) used by the client; errors
+ *   surface as FatalError, EOF is an in-band return value
+ *   (recvSome() == 0), because a peer hanging up is a normal protocol
+ *   event;
  * - the nonblocking calls (recvNb/sendNb, after setNonBlocking) used
- *   by the event-loop server core (net/event_loop.hh): would-block and
+ *   by the server's event loop (net/event_loop.hh): would-block and
  *   peer-gone are in-band IoResult fields — the readiness loop treats
  *   both as ordinary scheduling events — and only programming errors
  *   (EBADF and kin) still throw.
@@ -25,7 +25,6 @@
 #ifndef TEA_NET_SOCKET_HH
 #define TEA_NET_SOCKET_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -77,15 +76,6 @@ class Socket
      */
     size_t recvSome(void *buf, size_t len);
 
-    /**
-     * Poll until the socket is readable (data, EOF, or an error —
-     * recvSome() reports which) or `timeoutMs` elapses. Negative means
-     * wait forever. The server's idle/deadline eviction builds on this.
-     * @return 1 when readable, 0 on timeout
-     * @throws FatalError on poll errors
-     */
-    int waitReadable(int timeoutMs);
-
     /** Write all of `len` bytes. @throws FatalError on errors. */
     void sendAll(const void *buf, size_t len);
 
@@ -119,13 +109,6 @@ class Socket
     /** The raw descriptor, for poller registration; -1 when invalid. */
     int fd() const { return fd_; }
 
-    /**
-     * Disable further receives: a thread blocked in recvSome() wakes
-     * with EOF. Pending writes still flush — the server's graceful
-     * shutdown uses this to let in-flight replies reach the client.
-     */
-    void shutdownRead();
-
     void close();
 
   private:
@@ -151,21 +134,13 @@ class Listener
     static Listener open(const Endpoint &ep);
 
     /**
-     * Accept one connection.
-     * @return false once the listener has been closed (the server's
-     *         shutdown path); transient accept errors are retried
-     */
-    bool accept(Socket &out);
-
-    /**
-     * One nonblocking accept attempt, for the event-loop core: the
+     * One nonblocking accept attempt, for the server's event loop: the
      * caller must have registered fd() with its poller and put the
      * listener in nonblocking mode via setNonBlocking(). Exactly one of
-     * the IoResult cases holds: `n == 1` (a connection landed in `out`),
-     * `wouldBlock` (the backlog is drained — wait for the next
-     * readiness event), or `closed` (the listener was close()d).
-     * Transient per-connection errors (ECONNABORTED and kin) come back
-     * as wouldBlock so the loop simply moves on.
+     * the IoResult cases holds: `n == 1` (a connection landed in `out`)
+     * or `wouldBlock` (the backlog is drained — wait for the next
+     * readiness event). Transient per-connection errors (ECONNABORTED
+     * and kin) come back as wouldBlock so the loop simply moves on.
      */
     Socket::IoResult acceptNb(Socket &out);
 
@@ -179,10 +154,9 @@ class Listener
     const Endpoint &local() const { return local_; }
 
     /**
-     * Stop accepting: wakes a thread blocked in accept(), which then
-     * returns false. Safe to call from another thread; the fd itself
-     * is released by the destructor, after the accept thread joined,
-     * so no thread ever polls a recycled descriptor.
+     * Stop accepting: shut the socket down so new connects are refused.
+     * Call it once no poller watches fd(); the fd itself is released by
+     * the destructor, so no poller ever holds a recycled descriptor.
      */
     void close();
 
@@ -190,7 +164,6 @@ class Listener
     void release();
 
     int fd_ = -1;
-    std::atomic<bool> closing_{false};
     Endpoint local_;
 };
 

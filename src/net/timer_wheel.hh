@@ -1,10 +1,10 @@
 /**
  * @file
- * A hashed timer wheel for the event-loop server core.
+ * A hashed timer wheel for the server's event loop.
  *
  * The loop folds every connection clock — idle timeout, mid-request
- * deadline, drain deadline — into one wheel instead of polling each
- * socket with its own waitReadable() budget. The wheel is sized for
+ * deadline, drain deadline — into one wheel instead of keeping a poll
+ * budget per socket. The wheel is sized for
  * that exact load profile: tens of thousands of coarse (millisecond-
  * granularity) timers that are nearly always rescheduled or cancelled
  * before they fire, so insert/cancel must be O(1) and firing cost must

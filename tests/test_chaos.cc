@@ -63,28 +63,25 @@ recordLog(const Program &prog)
  * forms. The idle/request deadlines turn that into an eviction, which
  * the client sees as a clean typed failure. (The first run of this
  * suite with deadlines off found exactly that hang.)
+ *
+ * The server's own sockets are faulted too: EAGAIN storms, partial
+ * nonblocking writes, and spurious readiness on the loop's sockets.
+ * All benign by construction (delivery is deferred, never lost), so
+ * every all-or-nothing invariant below holds unchanged — the
+ * client-side fault mixes do the destructive work.
  */
 ServerConfig
-chaosServerConfig(ServerCore core)
+chaosServerConfig()
 {
     ServerConfig cfg;
-    cfg.core = core;
     cfg.workers = 2;
     cfg.idleTimeoutMs = 300;
     cfg.requestDeadlineMs = 1500;
-    if (core == ServerCore::EventLoop) {
-        // Server-side chaos only the event loop can meet: EAGAIN
-        // storms, partial nonblocking writes, and spurious readiness
-        // on the loop's sockets. All benign by construction (delivery
-        // is deferred, never lost), so every all-or-nothing invariant
-        // below holds unchanged — the client-side fault mixes do the
-        // destructive work on both cores.
-        cfg.loopFaults.nbEagainRead = 0.1;
-        cfg.loopFaults.nbEagainWrite = 0.1;
-        cfg.loopFaults.nbPartialWrite = 0.2;
-        cfg.loopFaults.spuriousReady = 0.05;
-        cfg.loopFaultSeed = 77;
-    }
+    cfg.loopFaults.nbEagainRead = 0.1;
+    cfg.loopFaults.nbEagainWrite = 0.1;
+    cfg.loopFaults.nbPartialWrite = 0.2;
+    cfg.loopFaults.spuriousReady = 0.05;
+    cfg.loopFaultSeed = 77;
     return cfg;
 }
 
@@ -184,29 +181,9 @@ std::vector<uint8_t> *Chaos::log = nullptr;
 std::vector<uint8_t> *Chaos::teaBytes = nullptr;
 StreamResult *Chaos::reference = nullptr;
 
-/**
- * Every chaos invariant runs once per connection engine. The seeds and
- * the client-side fault schedules are identical across cores, so a
- * divergence pins the blame on the engine, not the dice; the
- * event-loop run additionally arms the loop-side nonblocking faults
- * (see chaosServerConfig).
- */
-class ChaosCores : public Chaos,
-                   public ::testing::WithParamInterface<ServerCore>
+TEST_F(Chaos, BenignFaultsNeverChangeAnyResult)
 {
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Cores, ChaosCores,
-    ::testing::Values(ServerCore::Blocking, ServerCore::EventLoop),
-    [](const ::testing::TestParamInfo<ServerCore> &info) {
-        return info.param == ServerCore::Blocking ? "Blocking"
-                                                  : "EventLoop";
-    });
-
-TEST_P(ChaosCores, BenignFaultsNeverChangeAnyResult)
-{
-    TeaServer server(chaosServerConfig(GetParam()));
+    TeaServer server(chaosServerConfig());
     server.start();
 
     // Short reads/writes, EINTR, and latency only reshape delivery:
@@ -226,9 +203,9 @@ TEST_P(ChaosCores, BenignFaultsNeverChangeAnyResult)
     server.stop();
 }
 
-TEST_P(ChaosCores, MixedFaultsFailCleanOrMatchExactly)
+TEST_F(Chaos, MixedFaultsFailCleanOrMatchExactly)
 {
-    TeaServer server(chaosServerConfig(GetParam()));
+    TeaServer server(chaosServerConfig());
     server.start();
 
     FaultConfig faults;
@@ -247,9 +224,9 @@ TEST_P(ChaosCores, MixedFaultsFailCleanOrMatchExactly)
     server.stop();
 }
 
-TEST_P(ChaosCores, DestructiveFaultsAlwaysFailCleanly)
+TEST_F(Chaos, DestructiveFaultsAlwaysFailCleanly)
 {
-    TeaServer server(chaosServerConfig(GetParam()));
+    TeaServer server(chaosServerConfig());
     server.start();
 
     FaultConfig faults;
@@ -268,9 +245,9 @@ TEST_P(ChaosCores, DestructiveFaultsAlwaysFailCleanly)
     // session to completion or EOF and is still draining cleanly.
 }
 
-TEST_P(ChaosCores, RetriesConvergeUnderBoundedDestructiveRate)
+TEST_F(Chaos, RetriesConvergeUnderBoundedDestructiveRate)
 {
-    TeaServer server(chaosServerConfig(GetParam()));
+    TeaServer server(chaosServerConfig());
     server.start();
 
     // Low destructive rate + benign noise: each attempt fails with
@@ -307,10 +284,9 @@ TEST_P(ChaosCores, RetriesConvergeUnderBoundedDestructiveRate)
     server.stop();
 }
 
-TEST_P(ChaosCores, UnarmedFaultySocketIsExactPassThrough)
+TEST_F(Chaos, UnarmedFaultySocketIsExactPassThrough)
 {
     ServerConfig cfg;
-    cfg.core = GetParam();
     cfg.workers = 1;
     TeaServer server(cfg);
     server.start();

@@ -1,7 +1,7 @@
 /**
  * @file
- * The event-loop server core's own mechanics, beyond what the
- * parameterized test_net / test_chaos suites already prove on it:
+ * The server event loop's own mechanics, beyond what the test_net /
+ * test_chaos suites already prove on it:
  *
  * - the timer wheel under fixed *virtual* timestamps — firing order,
  *   round-up, lazy cancel, reschedule, multi-revolution survival —
@@ -207,7 +207,6 @@ processThreads()
 TEST(EventLoopBackpressure, HighWatermarkStallsReadsAndLowResumes)
 {
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop;
     cfg.workers = 1;
     // Tiny watermarks so ~40 PONG frames (~25 bytes each) are
     // guaranteed to cross them no matter how the reads chunk.
@@ -272,7 +271,6 @@ TEST(EventLoopBackpressure, HighWatermarkStallsReadsAndLowResumes)
 TEST(EventLoopBackpressure, HardCapOverflowFatallyClosesTheConnection)
 {
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop;
     cfg.workers = 1;
     cfg.maxWriteQueueBytes = 2048;
     // Watermarks ABOVE the cap: the stall must not engage first and
@@ -318,7 +316,6 @@ TEST(EventLoopPollBackend, FullReplayRoundTripOnForcedPoll)
     std::vector<uint8_t> log = recordLog(w.program);
 
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop;
     cfg.loopForcePoll = true; // the fallback is tested, not decorative
     cfg.workers = 2;
     TeaServer server(cfg);
@@ -371,7 +368,6 @@ TEST(EventLoopBigNet, TenThousandIdleConnectionsNoThreadGrowth)
              kConns, static_cast<unsigned long long>(lim.rlim_cur));
 
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop;
     cfg.workers = 2;
     cfg.maxQueue = 64;
     cfg.maxSessions = 0; // unbounded: this test IS the scale proof

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <unistd.h>
@@ -41,6 +42,20 @@ recordLog(const Program &prog)
         prog, [&](const BlockTransition &tr) { writer.append(tr); },
         /*rep_per_iteration=*/false, /*collect_blocks=*/false);
     m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); }, false);
+    writer.finish();
+    return bytes;
+}
+
+/** `times` back-to-back copies of a log's transition stream. */
+std::vector<uint8_t>
+repeatLog(const std::vector<uint8_t> &log, int times)
+{
+    std::vector<BlockTransition> stream = readTraceLog(log);
+    std::vector<uint8_t> bytes;
+    TraceLogWriter writer(&bytes);
+    for (int i = 0; i < times; ++i)
+        for (const BlockTransition &tr : stream)
+            writer.append(tr);
     writer.finish();
     return bytes;
 }
@@ -358,40 +373,12 @@ class NetLoopback : public ::testing::Test
     std::vector<uint8_t> foreignLog;
 };
 
-/**
- * The integration suite runs once per connection engine: the BUSY,
- * eviction, deadline, and shutdown assertions must mean exactly the
- * same thing on the blocking core and the event loop. Tests tied to
- * the blocking core's worker-parking mechanics (queue-slot occupancy)
- * stay on the plain NetLoopback fixture below.
- */
-class NetCores : public NetLoopback,
-                 public ::testing::WithParamInterface<ServerCore>
-{
-  protected:
-    ServerConfig
-    baseConfig() const
-    {
-        ServerConfig cfg;
-        cfg.core = GetParam();
-        return cfg;
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Cores, NetCores,
-    ::testing::Values(ServerCore::Blocking, ServerCore::EventLoop),
-    [](const ::testing::TestParamInfo<ServerCore> &info) {
-        return info.param == ServerCore::Blocking ? "Blocking"
-                                                  : "EventLoop";
-    });
-
-TEST_P(NetCores, FourConcurrentClientsMatchLocalBatchBitForBit)
+TEST_F(NetLoopback, FourConcurrentClientsMatchLocalBatchBitForBit)
 {
     constexpr int kClients = 4;
     constexpr int kStreamsPerClient = 2;
 
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.endpoint = "tcp:127.0.0.1:0"; // ephemeral
     cfg.workers = kClients;
     TeaServer server(cfg);
@@ -460,13 +447,11 @@ TEST_P(NetCores, FourConcurrentClientsMatchLocalBatchBitForBit)
     EXPECT_EQ(server.busyRejected(), 0u);
 }
 
-TEST_P(NetCores, UnixSocketRoundTrip)
+TEST_F(NetLoopback, UnixSocketRoundTrip)
 {
-    ServerConfig cfg = baseConfig();
-    cfg.endpoint = "unix:/tmp/tead-test-" +
-                   std::to_string(::getpid()) +
-                   (GetParam() == ServerCore::EventLoop ? "-el" : "-bl") +
-                   ".sock";
+    ServerConfig cfg;
+    cfg.endpoint =
+        "unix:/tmp/tead-test-" + std::to_string(::getpid()) + ".sock";
     cfg.workers = 1;
     TeaServer server(cfg);
     server.start();
@@ -484,9 +469,9 @@ TEST_P(NetCores, UnixSocketRoundTrip)
     EXPECT_FALSE(client.evict("gzip"));
 }
 
-TEST_P(NetCores, LookupFlagsChangeTheLookupPathNotTheResult)
+TEST_F(NetLoopback, LookupFlagsChangeTheLookupPathNotTheResult)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     TeaServer server(cfg);
     server.start();
@@ -509,35 +494,82 @@ TEST_P(NetCores, LookupFlagsChangeTheLookupPathNotTheResult)
 TEST_F(NetLoopback, AdmissionQueueOverflowRepliesBusy)
 {
     ServerConfig cfg;
-    cfg.workers = 1;  // one session at a time
-    cfg.maxQueue = 1; // one session may wait
+    cfg.workers = 1;  // one consume task at a time
+    cfg.maxQueue = 1; // one task may wait for the worker
     TeaServer server(cfg);
     server.start();
     std::string ep = server.endpoint();
+    obs::Counter &replaysBegun = server.metrics().counter("svc.streams");
 
-    // A's completed handshake proves its session occupies the worker.
+    // ~100 copies of the stream: one REPLAY_END that keeps the single
+    // worker busy for tens of milliseconds.
+    std::vector<uint8_t> longLog = repeatLog(log, 100);
     TeaClient a = TeaClient::connect(ep);
-    // B is admitted but waits in the queue (no HELLO_OK until A ends);
-    // a raw socket is enough — it only needs to hold the queue slot.
-    Socket b = Socket::connectTo(Endpoint::parse(ep));
-    while (server.queueDepth() < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    a.putAutomaton("gzip", *tea);
+    TeaClient b = TeaClient::connect(ep);
 
-    // C must bounce: worker busy, queue full.
-    EXPECT_THROW(TeaClient::connect(ep), ServerBusy);
+    // The queue drains when the replay ends, so a round whose third
+    // connect lands after that is inconclusive and runs again.
+    bool bounced = false;
+    uint64_t admitted = 0; // third connects that landed after the drain
+    for (int round = 0; round < 10 && !bounced; ++round) {
+        // 1. Hold the worker: wait until A's REPLAY_END is running.
+        uint64_t begun = replaysBegun.value();
+        std::atomic<bool> held{true};
+        std::thread holder([&] {
+            try {
+                a.replay("gzip", longLog);
+            } catch (const FatalError &e) {
+                ADD_FAILURE() << "holder: " << e.what();
+            }
+            held.store(false);
+        });
+        while (replaysBegun.value() == begun && held.load())
+            std::this_thread::yield();
+
+        // 2. Queue B's request behind it.
+        std::atomic<bool> queued{true};
+        std::thread pinger([&] {
+            try {
+                b.ping();
+            } catch (const FatalError &e) {
+                ADD_FAILURE() << "pinger: " << e.what();
+            }
+            queued.store(false);
+        });
+
+        // 3. Wait until the loop has handed B's bytes to the pool.
+        while (server.queueDepth() < 1 && held.load() && queued.load())
+            std::this_thread::yield();
+
+        // 4. Worker busy and queue full: a third connect must bounce,
+        //    and its BUSY frame names the depth that rejected it.
+        if (server.queueDepth() >= 1) {
+            try {
+                TeaClient::connect(ep);
+                ++admitted;
+            } catch (const ServerBusy &busy) {
+                EXPECT_GE(busy.queueDepth, 1u);
+                bounced = true;
+            }
+        }
+        holder.join();
+        pinger.join();
+    }
+    EXPECT_TRUE(bounced) << "no third connect bounced off a full queue";
     EXPECT_GE(server.busyRejected(), 1u);
 
-    // A hangs up; B's queued session gets the worker, sees EOF after
-    // b.close(), and the server drains cleanly.
     a.close();
     b.close();
     server.stop();
-    EXPECT_EQ(server.sessionsServed(), 2u);
+    // A, B and every admitted third connect were served; a bounced
+    // connection is not a session.
+    EXPECT_EQ(server.sessionsServed(), 2u + admitted);
 }
 
-TEST_P(NetCores, BusyFrameCarriesQueueDepthAndSessionCap)
+TEST_F(NetLoopback, BusyFrameCarriesQueueDepthAndSessionCap)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxSessions = 1; // one live connection, no queueing past it
     TeaServer server(cfg);
@@ -560,24 +592,19 @@ TEST_P(NetCores, BusyFrameCarriesQueueDepthAndSessionCap)
 TEST_F(NetLoopback, RetryRidesOutABusyServer)
 {
     ServerConfig cfg;
-    cfg.workers = 1;  // one session at a time
-    cfg.maxQueue = 1; // one session may wait
+    cfg.workers = 1;
+    cfg.maxSessions = 1; // one live connection; the next one bounces
     TeaServer server(cfg);
     server.start();
     std::string ep = server.endpoint();
     std::vector<uint8_t> teaBytes = saveTea(*tea);
 
-    // Occupy the worker (A, handshaken) and the queue slot (B, raw).
+    // A holds the only session slot and hangs up shortly; until then
+    // every connect bounces.
     TeaClient a = TeaClient::connect(ep);
-    Socket b = Socket::connectTo(Endpoint::parse(ep));
-    while (server.queueDepth() < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // Release the blockers shortly; until then every connect bounces.
     std::thread releaser([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(40));
         a.close();
-        b.close();
     });
 
     RemoteReplayJob job;
@@ -603,10 +630,10 @@ TEST_F(NetLoopback, RetryRidesOutABusyServer)
     server.stop();
 }
 
-TEST_P(NetCores, IdleTimeoutEvictsAStalledClient)
+TEST_F(NetLoopback, IdleTimeoutEvictsAStalledClient)
 {
     using namespace std::chrono;
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.idleTimeoutMs = 200;
     TeaServer server(cfg);
@@ -614,9 +641,9 @@ TEST_P(NetCores, IdleTimeoutEvictsAStalledClient)
 
     TeaClient client = TeaClient::connect(server.endpoint());
     auto t0 = steady_clock::now();
-    // Stall: send nothing. The server must reclaim the worker within
-    // 2x the idle timeout (the poll budget is exact; the margin covers
-    // scheduling).
+    // Stall: send nothing. The server must evict the connection within
+    // 2x the idle timeout (the timer wheel rounds up by one tick; the
+    // margin covers scheduling).
     while (server.sessionsEvicted() == 0 &&
            steady_clock::now() - t0 < milliseconds(2 * 200))
         std::this_thread::sleep_for(milliseconds(5));
@@ -632,10 +659,10 @@ TEST_P(NetCores, IdleTimeoutEvictsAStalledClient)
     EXPECT_EQ(server.sessionsServed(), 1u);
 }
 
-TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
+TEST_F(NetLoopback, RequestDeadlineEvictsASlowlorisMidFrame)
 {
     using namespace std::chrono;
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.requestDeadlineMs = 200; // idle clock off: only the request
     TeaServer server(cfg);      // deadline can trip
@@ -694,9 +721,9 @@ TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
     EXPECT_EQ(server.sessionsEvicted(), 1u);
 }
 
-TEST_P(NetCores, PingReportsLoadAndUptime)
+TEST_F(NetLoopback, PingReportsLoadAndUptime)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();
@@ -712,9 +739,9 @@ TEST_P(NetCores, PingReportsLoadAndUptime)
     server.stop();
 }
 
-TEST_P(NetCores, GracefulShutdownDrainsAndUnblocksClients)
+TEST_F(NetLoopback, GracefulShutdownDrainsAndUnblocksClients)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();
@@ -725,8 +752,8 @@ TEST_P(NetCores, GracefulShutdownDrainsAndUnblocksClients)
     RemoteReplayResult res = client.replay("gzip", log);
     EXPECT_GT(res.stats.blocks, 0u);
 
-    // stop() with a connected-but-idle client: the read-side shutdown
-    // unblocks the session; stop must not hang.
+    // stop() with a connected-but-idle client: the drain closes the
+    // connection; stop must not hang.
     server.stop();
     // The next request on the dead connection fails cleanly.
     EXPECT_THROW(client.list(), FatalError);

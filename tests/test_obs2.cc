@@ -332,7 +332,6 @@ TEST(Http, MetricsHealthHistoryAnd404OnSharedListener)
     Tea tea = recordTea(wl.program);
 
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop; // HTTP shares the loop listener
     cfg.workers = 2;
     cfg.historyIntervalMs = 50; // fast sampler so /history.json fills
     TeaServer server(cfg);

@@ -159,7 +159,6 @@ struct Options
     long long highWatermark = 0;    ///< serve: pause reads above (0 = default)
     long long lowWatermark = 0;     ///< serve: resume reads below (0 = default)
     int drainDeadlineMs = -1;       ///< serve: stop() patience (-1 = default)
-    bool blocking = false;          ///< serve: thread-per-connection core
     bool noFlight = false;     ///< serve: skip arming the flight recorder
     bool history = false;      ///< stats: fetch the time-series history
     bool salvage = false;      ///< batch-replay: recover torn logs
@@ -208,7 +207,7 @@ usage()
         "         [--request-deadline-ms N] [--slow-request-ms N]\n"
         "         [--trace-ring N] [--store DIR]\n"
         "         [--max-resident-bytes N] [--max-resident N]\n"
-        "         [--swap-interval N] [--blocking]\n"
+        "         [--swap-interval N]\n"
         "         [--max-write-queue-bytes N] [--write-high-watermark N]\n"
         "         [--write-low-watermark N] [--drain-deadline-ms N]\n"
         "         [--stats-span-limit N] [--history-interval-ms N]\n"
@@ -350,10 +349,6 @@ parseArgs(int argc, char **argv)
             opt.noFlight = true;
         else if (arg == "--history")
             opt.history = true;
-        else if (arg == "--blocking")
-            opt.blocking = true;
-        else if (arg == "--event-loop")
-            opt.blocking = false; // the default; kept as the explicit spelling
         else if (arg == "--live")
             opt.live = true;
         else if (arg == "--log-v1")
@@ -1176,11 +1171,6 @@ cmdServe(const Options &opt)
 
     ServerConfig cfg;
     cfg.endpoint = opt.endpoint;
-    // The CLI defaults to the event-loop core — idle connections cost
-    // memory, not worker threads. --blocking restores the original
-    // thread-per-connection engine (library default) for comparison.
-    cfg.core = opt.blocking ? ServerCore::Blocking
-                            : ServerCore::EventLoop;
     if (opt.maxWriteQueue > 0)
         cfg.maxWriteQueueBytes = static_cast<size_t>(opt.maxWriteQueue);
     if (opt.highWatermark > 0)
@@ -1218,12 +1208,11 @@ cmdServe(const Options &opt)
         // path lands in the working directory next to the operator.
         obs::FlightRecorder &fr = obs::FlightRecorder::instance();
         fr.setFingerprint(strprintf(
-            "teadbt serve %s core=%s workers=%zu max-queue=%d "
+            "teadbt serve %s workers=%zu max-queue=%d "
             "store=%s trace-ring=%d history-interval-ms=%u "
             "history-frames=%zu stats-span-limit=%zu",
-            opt.endpoint.c_str(),
-            opt.blocking ? "blocking" : "event-loop",
-            static_cast<size_t>(opt.jobs), opt.maxQueue,
+            opt.endpoint.c_str(), static_cast<size_t>(opt.jobs),
+            opt.maxQueue,
             opt.storeDir.empty() ? "-" : opt.storeDir.c_str(),
             opt.traceRing, cfg.historyIntervalMs, cfg.historyFrames,
             cfg.statsSpanLimit));
@@ -1250,11 +1239,8 @@ cmdServe(const Options &opt)
     pthread_sigmask(SIG_BLOCK, &set, nullptr);
 
     server.start();
-    std::printf("tead: serving on %s (%s core, %zu workers, "
-                "queue limit %d)\n",
-                server.endpoint().c_str(),
-                opt.blocking ? "blocking" : "event-loop",
-                server.workers(), opt.maxQueue);
+    std::printf("tead: serving on %s (%zu workers, queue limit %d)\n",
+                server.endpoint().c_str(), server.workers(), opt.maxQueue);
     std::fflush(stdout);
 
     int sig = 0;
