@@ -80,25 +80,6 @@ recordLog(const Program &prog,
     return bytes;
 }
 
-/** One blocking GET against the wire listener; returns the response. */
-std::string
-httpGet(const std::string &endpoint, const std::string &target)
-{
-    Socket s = Socket::connectTo(Endpoint::parse(endpoint));
-    std::string req = "GET " + target + " HTTP/1.1\r\n"
-                      "Host: tead\r\nConnection: close\r\n\r\n";
-    s.sendAll(req.data(), req.size());
-    std::string resp;
-    char buf[4096];
-    for (;;) {
-        size_t n = s.recvSome(buf, sizeof(buf));
-        if (n == 0)
-            break;
-        resp.append(buf, n);
-    }
-    return resp;
-}
-
 } // namespace
 
 int
@@ -196,10 +177,9 @@ main(int argc, char **argv)
             scraper = std::thread([&] {
                 try {
                     do {
-                        std::string resp = httpGet(ep, "/metrics");
-                        if (resp.find("HTTP/1.1 200") ==
-                                std::string::npos ||
-                            resp.find("# EOF") == std::string::npos) {
+                        HttpReply resp = httpGet(ep, "/metrics");
+                        if (resp.status != 200 ||
+                            resp.body.find("# EOF") == std::string::npos) {
                             scrapeFailed.store(1);
                             return;
                         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "svc/tracelog.hh"
@@ -151,14 +152,8 @@ TeaClient::ping()
 std::string
 TeaClient::stats(bool text)
 {
-    return statsFormat(text ? 1 : 0);
-}
-
-std::string
-TeaClient::statsFormat(uint8_t format)
-{
     PayloadWriter w;
-    w.u8(format);
+    w.u8(text ? 1 : 0);
     sendFrame(MsgType::Stats, w);
     Frame ok = expect(MsgType::StatsOk);
     return std::string(ok.payload.begin(), ok.payload.end());
@@ -225,29 +220,23 @@ TeaClient::recordBegin(const std::string &name, RemoteRecordOptions opt)
 {
     PayloadWriter w;
     w.str(name);
-    w.u8(opt.v1Chunks ? 0 : RecordFlags::kChunksV2);
+    w.u8(RecordFlags::kChunksV2);
     w.u32(opt.swapInterval);
     w.str(opt.selector);
     sendFrame(MsgType::RecordBegin, w);
     // Wait for the ack before streaming: a claimed name or unknown
     // selector fails here, with no transitions wasted on the wire.
-    // The ack payload (absent from older servers) carries the
-    // capability byte: bit 0 accepts framed v2 delta chunks.
     Frame ok = expect(MsgType::RecordOk);
-    recV2 = !opt.v1Chunks && !ok.payload.empty() &&
-            (ok.payload[0] & 1) != 0;
+    if (ok.payload.empty() || (ok.payload[0] & 1) == 0)
+        fatal("server did not acknowledge v2 record chunks");
 }
 
 void
 TeaClient::recordChunk(const BlockTransition *batch, size_t n)
 {
-    PayloadWriter chunk;
     std::vector<uint8_t> bytes;
-    if (recV2)
-        encodeWireChunk(bytes, batch, n);
-    else
-        for (size_t i = 0; i < n; ++i)
-            encodeTransition(bytes, batch[i]);
+    encodeWireChunk(bytes, batch, n);
+    PayloadWriter chunk;
     chunk.raw(bytes.data(), bytes.size());
     sendFrame(MsgType::RecordChunk, chunk);
 }
@@ -274,34 +263,44 @@ TeaClient::record(const std::string &name,
                   RemoteRecordOptions opt)
 {
     recordBegin(name, opt);
-    if (recV2) {
-        // v2 chunks are framed with a record count, so split on count:
-        // a writer-sized chunk encodes far below the frame cap.
-        for (size_t off = 0; off < trs.size();
-             off += TraceLogFormat::kChunkRecords)
-            recordChunk(trs.data() + off,
-                        std::min<size_t>(TraceLogFormat::kChunkRecords,
-                                         trs.size() - off));
-        return recordEnd();
-    }
-    // Legacy records split on encoded size, like replay(): a chunk
-    // stays well under the frame cap however long the sequence is.
-    std::vector<uint8_t> bytes;
-    for (size_t i = 0; i < trs.size(); ++i) {
-        encodeTransition(bytes, trs[i]);
-        if (bytes.size() >= Wire::kReplayChunk) {
-            PayloadWriter chunk;
-            chunk.raw(bytes.data(), bytes.size());
-            sendFrame(MsgType::RecordChunk, chunk);
-            bytes.clear();
-        }
-    }
-    if (!bytes.empty()) {
-        PayloadWriter chunk;
-        chunk.raw(bytes.data(), bytes.size());
-        sendFrame(MsgType::RecordChunk, chunk);
-    }
+    // A chunk carries a record count, so split on count: a writer-sized
+    // chunk encodes far below the frame cap.
+    for (size_t off = 0; off < trs.size();
+         off += TraceLogFormat::kChunkRecords)
+        recordChunk(trs.data() + off,
+                    std::min<size_t>(TraceLogFormat::kChunkRecords,
+                                     trs.size() - off));
     return recordEnd();
+}
+
+HttpReply
+httpGet(const std::string &endpoint, const std::string &target)
+{
+    Socket s = Socket::connectTo(Endpoint::parse(endpoint));
+    std::string req = "GET " + target +
+                      " HTTP/1.1\r\n"
+                      "Host: tead\r\nConnection: close\r\n\r\n";
+    s.sendAll(req.data(), req.size());
+    std::string resp;
+    char buf[4096];
+    for (size_t n; (n = s.recvSome(buf, sizeof(buf))) != 0;) {
+        resp.append(buf, n);
+        // A BUSY frame is known by its first bytes; stop before the
+        // server's close can turn into a reset.
+        if (resp.size() >= 7 && resp.compare(0, 7, "HTTP/1.") != 0)
+            break;
+    }
+    if (resp.compare(0, 7, "HTTP/1.") != 0)
+        fatal("GET %s: reply is not HTTP (%zu bytes)", target.c_str(),
+              resp.size());
+    size_t end = resp.find("\r\n\r\n");
+    if (end == std::string::npos)
+        fatal("GET %s: truncated HTTP header block", target.c_str());
+    HttpReply reply;
+    reply.status = std::atoi(resp.c_str() + resp.find(' ') + 1);
+    reply.headers = resp.substr(0, end);
+    reply.body = resp.substr(end + 4);
+    return reply;
 }
 
 RemoteReplayResult

@@ -81,12 +81,6 @@ struct RemoteRecordOptions
     uint32_t swapInterval = 0;
     /** Trace-selection policy name; empty = the server's default. */
     std::string selector;
-    /**
-     * Escape hatch: do not offer RecordFlags::kChunksV2, so every
-     * chunk goes out as bare encodeTransition() records even against
-     * a v2-capable server. Diagnostics and differential tests only.
-     */
-    bool v1Chunks = false;
 };
 
 /** One remote recording's outcome (the RECORD_RESULT frame). */
@@ -168,20 +162,14 @@ class TeaClient
 
     /**
      * Fetch the server's observability snapshot (the STATS frame).
+     * The history and flight-recorder documents are HTTP resources on
+     * the same listener instead (httpGet() below).
      * @param text true for the human rendering, false for JSON
      * @return the report bytes, verbatim
      * @throws FatalError from an older server that predates STATS (it
      *         answers unknown types with a fatal ERROR)
      */
     std::string stats(bool text = false);
-
-    /**
-     * STATS with an explicit format byte: 0 = JSON report, 1 = text
-     * report, 2 = history JSON (`teadbt stats --history`), 3 = flight-
-     * recorder JSON (`teadbt flight-dump`). stats() delegates here.
-     * Servers predating a format treat it as 0 and answer JSON.
-     */
-    std::string statsFormat(uint8_t format);
 
     /**
      * Stream a trace log and replay it remotely.
@@ -201,11 +189,13 @@ class TeaClient
 
     /**
      * Record a whole transition sequence remotely in one call:
-     * RECORD_BEGIN, the transitions in RECORD_CHUNK frames, RECORD_END.
+     * RECORD_BEGIN, the transitions in RECORD_CHUNK frames of one v2
+     * delta chunk each (encodeWireChunk), RECORD_END.
      * The server grows (and hot-swaps) the automaton under `name` as
      * the stream arrives; afterwards the name replays like any PUT one.
      * @throws FatalError when the server rejects the recording (name
-     *         already being recorded, unknown selector, old server)
+     *         already being recorded, unknown selector, old server) or
+     *         its RECORD_OK does not acknowledge RecordFlags::kChunksV2
      */
     RemoteRecordResult record(const std::string &name,
                               const std::vector<BlockTransition> &trs,
@@ -228,14 +218,7 @@ class TeaClient
 
     void close() { sock.close(); }
 
-    /**
-     * Did the server acknowledge RecordFlags::kChunksV2 for the
-     * current/last recording? False before any recordBegin(), against
-     * old servers, and under RemoteRecordOptions::v1Chunks.
-     */
-    bool recordChunksV2() const { return recV2; }
-
-    /** Raw bytes written to the socket (frames, after negotiation). */
+    /** Raw bytes written to the socket (every frame, HELLO included). */
     uint64_t bytesSent() const { return sock.bytesSent(); }
 
     /** Raw bytes read from the socket. */
@@ -265,8 +248,27 @@ class TeaClient
 
     FaultySocket sock;
     FrameDecoder decoder;
-    bool recV2 = false; ///< server acknowledged v2 record chunks
 };
+
+/** One HTTP reply from a server's listener, split at the blank line. */
+struct HttpReply
+{
+    int status = 0;      ///< e.g. 200, 404, 503
+    std::string headers; ///< status line and header fields
+    std::string body;
+};
+
+/**
+ * GET `target` from a tead listener. The event loop serves HTTP on
+ * every listener, `unix:` endpoints included; one request per
+ * connection. `teadbt stats --history` and `teadbt flight-dump` fetch
+ * `/history.json` and `/flight.json` through here.
+ * @throws FatalError on connect or transport failure, and on a reply
+ *         that does not start with `HTTP/1.` — such as the binary BUSY
+ *         frame a full server sends at admission, before it reads the
+ *         request
+ */
+HttpReply httpGet(const std::string &endpoint, const std::string &target);
 
 /**
  * Everything one self-contained remote replay attempt needs, so a

@@ -33,7 +33,7 @@
  *   client: REPLAY_CHUNK {log bytes}*  (no reply per chunk)
  *   client: REPLAY_END                 server: REPLAY_STATS | ERROR
  *   client: RECORD_BEGIN {name, ...}   server: RECORD_OK | ERROR
- *   client: RECORD_CHUNK {records}*    (no reply per chunk)
+ *   client: RECORD_CHUNK {v2 chunk}*   (no reply per chunk)
  *   client: RECORD_END                 server: RECORD_RESULT | ERROR
  *
  * RECORD grows an automaton server-side from a streamed transition
@@ -48,21 +48,13 @@
  * abandons the session: the last hot-swapped snapshot stays installed
  * and the partial batch is discarded.
  *
- * RECORD_CHUNK's record encoding is negotiated through the same
- * tolerant-payload pattern, with no protocol version bump:
- *
- *   client RECORD_BEGIN flags        server RECORD_OK payload
- *   0 (legacy)                       empty (legacy) or u8 0
- *   RecordFlags::kChunksV2           u8 1 = v2 accepted
- *
- * With the bit acknowledged, each chunk payload is one framed
- * encodeWireChunk() v2 delta chunk (svc/tracelog.hh) — revisited
- * blocks cost 2-4 wire bytes instead of ~15. Any other pairing (old
- * client/new server, new client/old server) falls back to bare
- * concatenated encodeTransition() records, because an old server
- * ignores unknown flag bits and an old client never reads RECORD_OK's
- * payload. Streamed REPLAY needs no negotiation: REPLAY_CHUNK carries
- * `.tlog` bytes verbatim, so a v2 log shrinks the wire by itself.
+ * Each RECORD_CHUNK payload is one framed encodeWireChunk() v2 delta
+ * chunk (svc/tracelog.hh) — revisited blocks cost 2-4 wire bytes
+ * instead of ~15. RECORD_BEGIN must set RecordFlags::kChunksV2; a
+ * server answers a RECORD_BEGIN without it with a non-fatal ERROR and
+ * claims no name, and RECORD_OK's ack byte is always 1. Streamed
+ * REPLAY needs no flag: REPLAY_CHUNK carries `.tlog` bytes verbatim,
+ * so a v2 log shrinks the wire by itself.
  *
  * BUSY may carry a payload (queue depth + max-sessions hint) since the
  * resilience work; it was empty in the first deployment, so readers
@@ -73,11 +65,13 @@
  * (a fatal ERROR), which a prober treats as "alive, but old".
  *
  * STATS follows the same versionless pattern: its payload is an
- * optional u8 format selector (absent or 0 = JSON, 1 = text; extra
- * bytes are ignored so the request can grow fields), and STATS_OK
- * carries the rendered metrics snapshot as raw bytes. An old server
- * answers with the unknown-type fatal ERROR, which `teadbt stats`
- * reports as "server too old".
+ * optional u8 format selector (1 = text; absent or any other byte =
+ * JSON; extra bytes are ignored so the request can grow fields), and
+ * STATS_OK carries the rendered metrics snapshot as raw bytes. The
+ * history and flight-recorder documents are HTTP resources on the same
+ * listener (GET /history.json, GET /flight.json), not STATS formats.
+ * An old server answers with the unknown-type fatal ERROR, which
+ * `teadbt stats` reports as "server too old".
  *
  * ERROR carries a "fatal" flag: requests that merely failed (unknown
  * automaton, corrupt TEA bytes, corrupt log) keep the session alive;
@@ -138,17 +132,15 @@ enum class MsgType : uint8_t {
     ReplayEnd = 0x23,
     ReplayResult = 0x24,
     /**
-     * str name, u8 flags (reserved, send 0; unknown bits ignored),
-     * then optional growth fields decoded tolerantly like BUSY's
-     * hints: u32 swap interval (0 = server default) and str selector
-     * (empty = server default). Extra bytes are ignored.
+     * str name, u8 flags (RecordFlags; kChunksV2 must be set, other
+     * bits are ignored), then optional growth fields decoded tolerantly
+     * like BUSY's hints: u32 swap interval (0 = server default) and str
+     * selector (empty = server default). Extra bytes are ignored.
      */
     RecordBegin = 0x30,
-    /** Optional u8 capability ack: bit 0 = v2 chunks accepted. */
+    /** u8 ack, always 1 (bit 0: v2 chunks accepted). */
     RecordOk = 0x31,
-    /** Concatenated encodeTransition() records, or one framed v2
-     *  delta chunk once RecordFlags::kChunksV2 was acknowledged
-     *  (svc/tracelog.hh). */
+    /** One framed v2 delta chunk (encodeWireChunk, svc/tracelog.hh). */
     RecordChunk = 0x32,
     RecordEnd = 0x33,
     /** u64 transitions, u64 traces, u64 states, u64 swaps, then the
@@ -175,10 +167,9 @@ struct ReplayFlags
 struct RecordFlags
 {
     /**
-     * Client can send framed v2 delta chunks (encodeWireChunk) in
-     * RECORD_CHUNK. The server acknowledges with a u8 1 leading
-     * RECORD_OK's payload; without the ack the client must fall back
-     * to bare encodeTransition() records.
+     * RECORD_CHUNK frames carry framed v2 delta chunks
+     * (encodeWireChunk). Mandatory: the server refuses a RECORD_BEGIN
+     * without it, and acknowledges it with RECORD_OK's u8 1.
      */
     static constexpr uint8_t kChunksV2 = 1u << 0;
 };

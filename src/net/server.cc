@@ -51,7 +51,6 @@ TeaServer::TeaServer(ServerConfig config)
     mEvictIdle = &metrics_.counter("server.evictions_idle");
     mEvictDeadline = &metrics_.counter("server.evictions_deadline");
     mSessions = &metrics_.counter("server.sessions_served");
-    mTaskFailures = &metrics_.counter("pool.task_failures");
     hRequestMs = &metrics_.histogram("server.request_ms");
     hTaskMs = &metrics_.histogram("pool.task_ms");
 
@@ -96,9 +95,6 @@ TeaServer::TeaServer(ServerConfig config)
     });
     metrics_.gaugeFn("pool.workers", [this] {
         return static_cast<int64_t>(pool.workers());
-    });
-    metrics_.gaugeFn("pool.executed", [this] {
-        return static_cast<int64_t>(pool.executed());
     });
     metrics_.gaugeFn("pool.failures", [this] {
         return static_cast<int64_t>(pool.failures());
@@ -147,11 +143,7 @@ TeaServer::TeaServer(ServerConfig config)
             std::max<size_t>(cfg.historyFrames, 2));
     }
 
-    pool.setTaskObserver([this](double ms, bool failed) {
-        hTaskMs->observe(ms);
-        if (failed)
-            mTaskFailures->inc();
-    });
+    pool.setTaskObserver([this](double ms) { hTaskMs->observe(ms); });
 }
 
 std::string
@@ -182,21 +174,6 @@ TeaServer::statsReport(bool text) const
     w.endArray();
     w.endObject();
     return w.str();
-}
-
-std::string
-TeaServer::statsPayload(uint8_t format) const
-{
-    switch (format) {
-    case 1:
-        return statsReport(true);
-    case 2:
-        return historyJson();
-    case 3:
-        return obs::FlightRecorder::instance().toJson("stats");
-    default:
-        return statsReport(false);
-    }
 }
 
 std::string
@@ -318,8 +295,7 @@ TeaServer::makeSession(uint64_t connId)
         st.uptimeMs = uptimeMs();
         return st;
     });
-    session->setStatsFn(
-        [this](uint8_t format) { return statsPayload(format); });
+    session->setStatsFn([this](bool text) { return statsReport(text); });
     SessionObs ob = svcObs_;
     ob.conn = connId;
     session->setObs(ob);

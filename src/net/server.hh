@@ -240,16 +240,9 @@ class TeaServer
     std::string statsReport(bool text) const;
 
     /**
-     * The STATS reply body for a wire format byte: 0 = JSON report,
-     * 1 = text report, 2 = history JSON (historyJson()), 3 = flight-
-     * recorder JSON (obs::FlightRecorder::instance()). Unknown bytes
-     * answer the JSON report, so old servers and new clients coexist.
-     */
-    std::string statsPayload(uint8_t format) const;
-
-    /**
      * The history ring as `{"series": [...], "frames": [[tMs, v...],
-     * ...]}`; an empty document when the sampler is disabled.
+     * ...]}` (GET /history.json); an empty document when the sampler
+     * is disabled.
      */
     std::string historyJson() const;
 
@@ -282,7 +275,6 @@ class TeaServer
     obs::Counter *mEvictIdle;      ///< server.evictions_idle
     obs::Counter *mEvictDeadline;  ///< server.evictions_deadline
     obs::Counter *mSessions;       ///< server.sessions_served
-    obs::Counter *mTaskFailures;   ///< pool.task_failures
     obs::Histogram *hRequestMs;    ///< server.request_ms
     obs::Histogram *hTaskMs;       ///< pool.task_ms
     // Event-loop health.

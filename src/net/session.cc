@@ -272,15 +272,13 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::Stats: {
-        // Tolerant by design, like BUSY: empty payload means format 0
-        // (JSON), a leading u8 selects the format (1 = text, 2 =
-        // history JSON, 3 = flight-recorder JSON), and any extra bytes
-        // are ignored so the request can grow fields without a version
-        // bump.
-        uint8_t format = frame.payload.empty() ? 0 : frame.payload[0];
+        // Tolerant by design, like BUSY: a leading format byte of 1
+        // selects text; an empty payload or any other byte means JSON,
+        // and extra bytes are ignored so the request can grow fields
+        // without a version bump.
+        bool text = !frame.payload.empty() && frame.payload[0] == 1;
         std::string report =
-            statsFn ? statsFn(format)
-                    : std::string(format == 1 ? "" : "{}");
+            statsFn ? statsFn(text) : std::string(text ? "" : "{}");
         PayloadWriter w;
         w.raw(reinterpret_cast<const uint8_t *>(report.data()),
               report.size());
@@ -388,9 +386,11 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
             fatal("recording is not enabled on this server");
         PayloadReader r(frame.payload);
         std::string name = r.str(Wire::kMaxName);
-        // Unknown flag bits are ignored (versionless growth); bit 0
-        // requests framed v2 delta chunks, acknowledged below.
-        uint8_t flags = r.u8();
+        // Bit 0 (v2 delta chunks) is mandatory; other bits are ignored
+        // (versionless growth). Checked before begin() so a refused
+        // request claims no name.
+        if ((r.u8() & RecordFlags::kChunksV2) == 0)
+            fatal("RECORD_BEGIN must set the v2 chunk flag");
         // Optional growth fields, decoded tolerantly (cf. BUSY/STATS):
         // a u32 swap interval and a selector name. Extra bytes beyond
         // those are future fields — ignored.
@@ -410,12 +410,10 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         // replay lookup: the online recorder must be bit-identical to
         // a default offline TeaRecorder over the same transitions.
         recSession = recSvc->begin(name, std::move(rc));
-        recChunksV2 = (flags & RecordFlags::kChunksV2) != 0;
         state = State::Recording;
-        // The ack byte completes the negotiation: an old client never
-        // reads RECORD_OK's payload, a new one reads bit 0.
+        // The ack byte stays for clients that check it: always 1.
         PayloadWriter w;
-        w.u8(recChunksV2 ? 1 : 0);
+        w.u8(1);
         reply(out, MsgType::RecordOk, w);
         return;
     }
@@ -425,17 +423,9 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         // automaton grown by half a chunk.
         if (ob.recWireBytes != nullptr)
             ob.recWireBytes->inc(frame.payload.size());
-        std::vector<BlockTransition> batch;
-        if (recChunksV2) {
-            // One framed v2 delta chunk (CRC-checked, batch-decoded).
-            batch = decodeWireChunk(frame.payload.data(),
-                                    frame.payload.size());
-        } else {
-            size_t cursor = 0;
-            while (cursor < frame.payload.size())
-                batch.push_back(decodeTransition(
-                    frame.payload.data(), frame.payload.size(), cursor));
-        }
+        // One framed v2 delta chunk (CRC-checked, batch-decoded).
+        std::vector<BlockTransition> batch =
+            decodeWireChunk(frame.payload.data(), frame.payload.size());
         recSession->feedBatch(batch.data(), batch.size());
         return;
     }

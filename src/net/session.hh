@@ -117,14 +117,12 @@ class Session
     }
 
     /**
-     * Provider for the STATS reply body, keyed by the request's format
-     * byte: 0 (or an empty payload) = JSON report, 1 = text report,
-     * 2 = history JSON, 3 = flight-recorder JSON; unknown bytes are the
-     * provider's to map (the server answers JSON). Without a provider
-     * STATS answers an empty JSON object — again, the session alone
-     * has no server-wide view.
+     * Provider for the STATS reply body: `text` is true for a format
+     * byte of 1, false for an empty payload or any other byte (the JSON
+     * report). Without a provider STATS answers an empty JSON object —
+     * again, the session alone has no server-wide view.
      */
-    void setStatsFn(std::function<std::string(uint8_t format)> fn)
+    void setStatsFn(std::function<std::string(bool text)> fn)
     {
         statsFn = std::move(fn);
     }
@@ -146,7 +144,8 @@ class Session
      * Enable the RECORD verb family: RECORD_BEGIN claims a name
      * through `svc` (one live recording per name, server-wide) and
      * streams chunks into the RecordingSession it returns. Borrowed;
-     * without a recorder RECORD_BEGIN answers a non-fatal ERROR.
+     * without a recorder, or without RecordFlags::kChunksV2 in its
+     * flags, RECORD_BEGIN answers a non-fatal ERROR and claims nothing.
      * `defaultSwapInterval` applies when the client's RECORD_BEGIN
      * leaves the interval at 0.
      */
@@ -158,11 +157,11 @@ class Session
     }
 
     /**
-     * Requests begun: frames handled, excluding REPLAY_CHUNK (which is
-     * stream payload, not a request). Counted when handling *starts*,
-     * so a STATS snapshot rendered mid-request includes the STATS
-     * request itself — that makes the wire-visible count deterministic
-     * for a scripted exchange (tests/test_obs.cc).
+     * Requests begun: frames handled, excluding REPLAY_CHUNK and
+     * RECORD_CHUNK (stream payload, not requests). Counted when
+     * handling *starts*, so a STATS snapshot rendered mid-request
+     * includes the STATS request itself — that makes the wire-visible
+     * count deterministic for a scripted exchange (tests/test_obs.cc).
      */
     uint64_t requestsBegun() const { return reqBegun; }
 
@@ -208,7 +207,7 @@ class Session
     LookupConfig lookup;
     FrameDecoder decoder;
     std::function<ServerStatus()> statusFn;
-    std::function<std::string(uint8_t format)> statsFn;
+    std::function<std::string(bool text)> statsFn;
     SessionObs ob;
     State state = State::ExpectHello;
     uint64_t replays = 0;
@@ -237,9 +236,6 @@ class Session
     rec::RecordingService *recSvc = nullptr;
     uint32_t recSwapInterval = 4096;
     std::unique_ptr<rec::RecordingSession> recSession;
-    /** This recording's chunks arrive as framed v2 delta chunks
-     *  (negotiated via RecordFlags::kChunksV2 at RECORD_BEGIN). */
-    bool recChunksV2 = false;
 };
 
 } // namespace tea

@@ -123,6 +123,25 @@ struct ByteReader
     }
 };
 
+// ------------------------------------------------------ v1/raw records
+//
+// The standalone record of v1 chunks and Raw v2 chunks:
+//
+//   varint from.start, varint from.end - from.start, varint icount,
+//   u8 edge kind, varint toStart (kNoAddr for the final halt record)
+
+void
+encodeRawRecord(std::vector<uint8_t> &out, const BlockTransition &tr)
+{
+    if (tr.from.end < tr.from.start)
+        fatal("transition record: block with end < start");
+    putVar(out, tr.from.start);
+    putVar(out, tr.from.end - tr.from.start);
+    putVar(out, tr.from.icount);
+    out.push_back(static_cast<uint8_t>(tr.kind));
+    putVar(out, tr.toStart);
+}
+
 /** Decode one v1/raw record through the pointer cursor. */
 TEA_HOT_INLINE BlockTransition
 decodeRawRecord(ByteReader &r)
@@ -500,31 +519,6 @@ sameTransition(const BlockTransition &a, const BlockTransition &b)
 
 } // namespace
 
-// ----------------------------------------------------- shared codec
-
-void
-encodeTransition(std::vector<uint8_t> &out, const BlockTransition &tr)
-{
-    if (tr.from.end < tr.from.start)
-        fatal("transition record: block with end < start");
-    putVar(out, tr.from.start);
-    putVar(out, tr.from.end - tr.from.start);
-    putVar(out, tr.from.icount);
-    out.push_back(static_cast<uint8_t>(tr.kind));
-    putVar(out, tr.toStart);
-}
-
-BlockTransition
-decodeTransition(const uint8_t *data, size_t len, size_t &cursor)
-{
-    if (cursor > len)
-        fatal("transition record: truncated input");
-    ByteReader r{data + cursor, data + len};
-    BlockTransition tr = decodeRawRecord(r);
-    cursor = static_cast<size_t>(r.p - data);
-    return tr;
-}
-
 void
 encodeChunkPayload(std::vector<uint8_t> &out, ChunkEncoding encoding,
                    const BlockTransition *batch, size_t n,
@@ -533,7 +527,7 @@ encodeChunkPayload(std::vector<uint8_t> &out, ChunkEncoding encoding,
     switch (encoding) {
     case ChunkEncoding::Raw:
         for (size_t i = 0; i < n; ++i)
-            encodeTransition(out, batch[i]);
+            encodeRawRecord(out, batch[i]);
         return;
     case ChunkEncoding::Delta: {
         thread_local DeltaState st;
@@ -634,57 +628,147 @@ decodeChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
         fatal("tracelog: %zu undecoded payload bytes", r.left());
 }
 
-// ------------------------------------------------------- wire chunks
+// ------------------------------------------------------- chunk frames
+//
+// One chunk frame, shared by the container and the wire:
+//
+//   u32 record count, [v2] u8 encoding, u32 payload bytes, payload,
+//   u32 CRC-32 (v1: the payload; v2: the head and the payload)
+
+namespace {
+
+/**
+ * Append one chunk frame holding `n` transitions encoded as `enc`. The
+ * writer and the wire both emit through here.
+ */
+void
+appendChunk(std::vector<uint8_t> &out, uint32_t version, ChunkEncoding enc,
+            const BlockTransition *batch, size_t n,
+            const CompiledTea *automaton)
+{
+    size_t head = out.size();
+    put32(out, static_cast<uint32_t>(n));
+    if (version >= 2)
+        out.push_back(static_cast<uint8_t>(enc));
+    size_t sizeAt = out.size();
+    put32(out, 0); // payload bytes, patched once encoded
+    size_t payload = out.size();
+    encodeChunkPayload(out, enc, batch, n, automaton);
+    uint32_t nbytes = static_cast<uint32_t>(out.size() - payload);
+    for (int i = 0; i < 4; ++i)
+        out[sizeAt + i] = static_cast<uint8_t>(nbytes >> (8 * i));
+    // v2 CRCs cover the chunk head too: a flipped encoding byte or
+    // record count must not pass as a valid chunk of another shape.
+    put32(out, version >= 2 ? crc32(out.data() + head, out.size() - head)
+                            : crc32(out.data() + payload, nbytes));
+}
+
+/**
+ * Parse one chunk frame at data[cursor..len) and leave `cursor` past
+ * its CRC word. The head, the record-count limits, the payload bounds
+ * and the CRC are all checked here, for the reader, inspectTraceLog()
+ * and the wire alike. A zero record count is the container's trailer
+ * marker; callers check for it first (readTrailer()).
+ */
+TraceChunkView
+readChunkFrame(const uint8_t *data, size_t len, size_t &cursor,
+               uint32_t version)
+{
+    size_t head = cursor;
+    TraceChunkView chunk;
+    chunk.records = rd32(data, len, cursor);
+    if (version >= 2) {
+        uint8_t e = rd8(data, len, cursor);
+        if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
+            fatal("tracelog: bad chunk encoding %u", e);
+        chunk.encoding = static_cast<ChunkEncoding>(e);
+        if (chunk.records > TraceLogFormat::kMaxChunkRecords)
+            fatal("tracelog: chunk record count %u exceeds limit %u",
+                  chunk.records, TraceLogFormat::kMaxChunkRecords);
+    }
+    uint32_t nbytes = rd32(data, len, cursor);
+    if (nbytes > len - cursor)
+        fatal("tracelog: truncated chunk payload");
+    // A raw or delta record costs at least one payload byte, an elided
+    // one at least one bitset bit.
+    if (chunk.encoding == ChunkEncoding::Elided) {
+        if (nbytes < (static_cast<size_t>(chunk.records) + 7) / 8)
+            fatal("tracelog: truncated elision bitset");
+    } else if (chunk.records > nbytes) {
+        fatal("tracelog: chunk record count %u exceeds payload bytes %u",
+              chunk.records, nbytes);
+    }
+    chunk.payload = data + cursor;
+    chunk.size = nbytes;
+    cursor += nbytes;
+    uint32_t stored = rd32(data, len, cursor);
+    uint32_t actual = version >= 2 ? crc32(data + head, cursor - 4 - head)
+                                   : crc32(chunk.payload, nbytes);
+    if (actual != stored)
+        fatal("tracelog: chunk CRC mismatch");
+    return chunk;
+}
+
+/** Check the container header; @return its version. */
+uint32_t
+readLogHeader(const uint8_t *data, size_t len, size_t &cursor)
+{
+    if (rd32(data, len, cursor) != TraceLogFormat::kMagic)
+        fatal("tracelog: bad magic");
+    uint32_t version = rd32(data, len, cursor);
+    if (version != TraceLogFormat::kVersion &&
+        version != TraceLogFormat::kVersionV1)
+        fatal("tracelog: unsupported version");
+    return version;
+}
+
+/**
+ * At a chunk boundary: when the next u32 is the zero end marker, check
+ * that the trailer's total equals `records` and that nothing follows,
+ * move `cursor` past it and return true. Otherwise leave `cursor` at
+ * the chunk and return false.
+ */
+bool
+readTrailer(const uint8_t *data, size_t len, size_t &cursor,
+            uint64_t records)
+{
+    size_t at = cursor;
+    if (rd32(data, len, at) != 0)
+        return false;
+    uint64_t expect = rd64(data, len, at);
+    if (expect != records)
+        fatal("tracelog: trailer count %llu disagrees with %llu records "
+              "in chunks",
+              static_cast<unsigned long long>(expect),
+              static_cast<unsigned long long>(records));
+    if (at != len)
+        fatal("tracelog: %zu trailing bytes", len - at);
+    cursor = at;
+    return true;
+}
+
+} // namespace
 
 void
 encodeWireChunk(std::vector<uint8_t> &out, const BlockTransition *batch,
                 size_t n)
 {
-    std::vector<uint8_t> payload;
-    encodeChunkPayload(payload, ChunkEncoding::Delta, batch, n);
-    std::vector<uint8_t> head;
-    put32(head, static_cast<uint32_t>(n));
-    head.push_back(static_cast<uint8_t>(ChunkEncoding::Delta));
-    put32(head, static_cast<uint32_t>(payload.size()));
-    uint32_t crc = crc32Update(crc32(head.data(), head.size()),
-                               payload.data(), payload.size());
-    out.insert(out.end(), head.begin(), head.end());
-    out.insert(out.end(), payload.begin(), payload.end());
-    put32(out, crc);
+    appendChunk(out, TraceLogFormat::kVersion, ChunkEncoding::Delta, batch,
+                n, nullptr);
 }
 
 std::vector<BlockTransition>
 decodeWireChunk(const uint8_t *data, size_t len)
 {
     size_t cursor = 0;
-    uint32_t nrecords = rd32(data, len, cursor);
-    if (nrecords > TraceLogFormat::kMaxChunkRecords)
-        fatal("tracelog: chunk record count %u exceeds limit %u",
-              nrecords, TraceLogFormat::kMaxChunkRecords);
-    uint8_t enc = rd8(data, len, cursor);
-    if (enc > static_cast<uint8_t>(ChunkEncoding::Elided))
-        fatal("tracelog: bad chunk encoding %u", enc);
-    if (enc == static_cast<uint8_t>(ChunkEncoding::Elided))
+    TraceChunkView chunk =
+        readChunkFrame(data, len, cursor, TraceLogFormat::kVersion);
+    if (chunk.encoding == ChunkEncoding::Elided)
         fatal("tracelog: elided chunks are not valid on the wire");
-    uint32_t nbytes = rd32(data, len, cursor);
-    if (nbytes > len - cursor)
-        fatal("tracelog: truncated chunk payload");
-    if (nrecords > nbytes)
-        fatal("tracelog: chunk record count %u exceeds payload bytes %u",
-              nrecords, nbytes);
-    const uint8_t *payload = data + cursor;
-    size_t payloadEnd = cursor + nbytes;
-    size_t crcCursor = payloadEnd;
-    uint32_t stored = rd32(data, len, crcCursor);
-    if (crc32(data, payloadEnd) != stored)
-        fatal("tracelog: chunk CRC mismatch");
-    if (crcCursor != len)
-        fatal("tracelog: %zu trailing bytes", len - crcCursor);
+    if (cursor != len)
+        fatal("tracelog: %zu trailing bytes", len - cursor);
     std::vector<BlockTransition> out;
-    decodeChunk(TraceChunkView{nrecords,
-                               static_cast<ChunkEncoding>(enc), payload,
-                               nbytes},
-                nullptr, out);
+    decodeChunk(chunk, nullptr, out);
     return out;
 }
 
@@ -695,17 +779,9 @@ TraceLogWriter::TraceLogWriter(const std::string &file_path,
     : opts(std::move(options)), file(file_path, std::ios::binary),
       path(file_path)
 {
-    if (opts.version != TraceLogFormat::kVersion &&
-        opts.version != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported writer version %u", opts.version);
-    if (opts.elideWith && opts.version == TraceLogFormat::kVersionV1)
-        fatal("tracelog: elision needs container version 2");
     if (!file)
         fatal("cannot open '%s' for writing", path.c_str());
-    std::vector<uint8_t> header;
-    put32(header, TraceLogFormat::kMagic);
-    put32(header, opts.version);
-    emit(header.data(), header.size());
+    writeHeader();
 }
 
 TraceLogWriter::TraceLogWriter(std::vector<uint8_t> *sink,
@@ -713,6 +789,12 @@ TraceLogWriter::TraceLogWriter(std::vector<uint8_t> *sink,
     : opts(std::move(options)), mem(sink)
 {
     TEA_ASSERT(sink != nullptr, "tracelog: null memory sink");
+    writeHeader();
+}
+
+void
+TraceLogWriter::writeHeader()
+{
     if (opts.version != TraceLogFormat::kVersion &&
         opts.version != TraceLogFormat::kVersionV1)
         fatal("tracelog: unsupported writer version %u", opts.version);
@@ -781,25 +863,9 @@ TraceLogWriter::flushChunk()
         enc = opts.elideWith ? ChunkEncoding::Elided
                              : ChunkEncoding::Delta;
     scratch.clear();
-    encodeChunkPayload(scratch, enc, pending.data(), pending.size(),
-                       opts.elideWith.get());
-    std::vector<uint8_t> head;
-    put32(head, static_cast<uint32_t>(pending.size()));
-    if (opts.version >= 2)
-        head.push_back(static_cast<uint8_t>(enc));
-    put32(head, static_cast<uint32_t>(scratch.size()));
-    // v2 CRCs cover the chunk header too: a flipped encoding byte or
-    // record count must not pass as a valid chunk of another shape.
-    uint32_t crc =
-        opts.version >= 2
-            ? crc32Update(crc32(head.data(), head.size()),
-                          scratch.data(), scratch.size())
-            : crc32(scratch.data(), scratch.size());
-    emit(head.data(), head.size());
+    appendChunk(scratch, opts.version, enc, pending.data(), pending.size(),
+                opts.elideWith.get());
     emit(scratch.data(), scratch.size());
-    std::vector<uint8_t> tail;
-    put32(tail, crc);
-    emit(tail.data(), tail.size());
     pending.clear();
     drainToFile(false);
 }
@@ -852,12 +918,7 @@ TraceLogReader::readHeader()
     // Bad magic/version throws even in salvage mode: a log whose first
     // eight bytes are wrong proves nothing, so there is no prefix to
     // recover.
-    if (rd32(data, len, cursor) != TraceLogFormat::kMagic)
-        fatal("tracelog: bad magic");
-    version_ = rd32(data, len, cursor);
-    if (version_ != TraceLogFormat::kVersion &&
-        version_ != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported version");
+    version_ = readLogHeader(data, len, cursor);
 }
 
 TraceLogReader
@@ -898,56 +959,17 @@ TraceLogReader::loadChunk()
 void
 TraceLogReader::loadChunkStrict()
 {
-    size_t headStart = cursor;
-    uint32_t nrecords = rd32(data, len, cursor);
-    if (nrecords == 0) {
-        // Trailer: the total must match what the chunks delivered and
-        // nothing may follow it.
-        uint64_t expect = rd64(data, len, cursor);
-        if (expect != decoded)
-            fatal("tracelog: trailer count %llu disagrees with %llu "
-                  "records decoded",
-                  static_cast<unsigned long long>(expect),
-                  static_cast<unsigned long long>(decoded));
-        if (cursor != len)
-            fatal("tracelog: %zu trailing bytes", len - cursor);
+    if (readTrailer(data, len, cursor, decoded)) {
         done = true;
         return;
     }
-    ChunkEncoding enc = ChunkEncoding::Raw;
-    if (version_ >= 2) {
-        uint8_t e = rd8(data, len, cursor);
-        if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
-            fatal("tracelog: bad chunk encoding %u", e);
-        enc = static_cast<ChunkEncoding>(e);
-        if (nrecords > TraceLogFormat::kMaxChunkRecords)
-            fatal("tracelog: chunk record count %u exceeds limit %u",
-                  nrecords, TraceLogFormat::kMaxChunkRecords);
-    }
-    uint32_t nbytes = rd32(data, len, cursor);
-    if (nbytes > len - cursor)
-        fatal("tracelog: truncated chunk payload");
-    if (enc != ChunkEncoding::Elided && nrecords > nbytes)
-        fatal("tracelog: chunk record count %u exceeds payload bytes %u",
-              nrecords, nbytes);
-    const uint8_t *payload = data + cursor;
-    size_t payload_end = cursor + nbytes;
-    size_t crc_cursor = payload_end;
-    uint32_t stored = rd32(data, len, crc_cursor);
-    uint32_t actual =
-        version_ >= 2 ? crc32(data + headStart, payload_end - headStart)
-                      : crc32(payload, nbytes);
-    if (actual != stored)
-        fatal("tracelog: chunk CRC mismatch");
-
+    TraceChunkView view = readChunkFrame(data, len, cursor, version_);
     chunk.clear();
     // The whole CRC-validated chunk decodes through the batch kernel;
     // a record that would read past the payload fails as truncation
     // instead of bleeding into the CRC word.
-    decodeChunk(TraceChunkView{nrecords, enc, payload, nbytes},
-                automaton, chunk);
-    cursor = crc_cursor; // skip the (already verified) CRC word
-    decoded += nrecords;
+    decodeChunk(view, automaton, chunk);
+    decoded += view.records;
     chunkPos = 0;
 }
 
@@ -1002,52 +1024,14 @@ inspectTraceLog(const uint8_t *data, size_t len)
     TraceLogInfo info;
     info.fileBytes = len;
     size_t cursor = 0;
-    if (rd32(data, len, cursor) != TraceLogFormat::kMagic)
-        fatal("tracelog: bad magic");
-    info.version = rd32(data, len, cursor);
-    if (info.version != TraceLogFormat::kVersion &&
-        info.version != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported version");
-    for (;;) {
-        size_t headStart = cursor;
-        uint32_t nrecords = rd32(data, len, cursor);
-        if (nrecords == 0) {
-            uint64_t expect = rd64(data, len, cursor);
-            if (expect != info.records)
-                fatal("tracelog: trailer count %llu disagrees with "
-                      "%llu records framed",
-                      static_cast<unsigned long long>(expect),
-                      static_cast<unsigned long long>(info.records));
-            if (cursor != len)
-                fatal("tracelog: %zu trailing bytes", len - cursor);
-            return info;
-        }
+    info.version = readLogHeader(data, len, cursor);
+    while (!readTrailer(data, len, cursor, info.records)) {
+        TraceChunkView view =
+            readChunkFrame(data, len, cursor, info.version);
         TraceLogChunkInfo ci;
-        ci.records = nrecords;
-        if (info.version >= 2) {
-            uint8_t e = rd8(data, len, cursor);
-            if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
-                fatal("tracelog: bad chunk encoding %u", e);
-            ci.encoding = static_cast<ChunkEncoding>(e);
-            if (nrecords > TraceLogFormat::kMaxChunkRecords)
-                fatal("tracelog: chunk record count %u exceeds limit "
-                      "%u",
-                      nrecords, TraceLogFormat::kMaxChunkRecords);
-        }
-        uint32_t nbytes = rd32(data, len, cursor);
-        if (nbytes > len - cursor)
-            fatal("tracelog: truncated chunk payload");
-        ci.payloadBytes = nbytes;
-        const uint8_t *payload = data + cursor;
-        size_t payload_end = cursor + nbytes;
-        size_t crc_cursor = payload_end;
-        uint32_t stored = rd32(data, len, crc_cursor);
-        uint32_t actual = info.version >= 2
-                              ? crc32(data + headStart,
-                                      payload_end - headStart)
-                              : crc32(payload, nbytes);
-        if (actual != stored)
-            fatal("tracelog: chunk CRC mismatch");
+        ci.encoding = view.encoding;
+        ci.records = view.records;
+        ci.payloadBytes = static_cast<uint32_t>(view.size);
         switch (ci.encoding) {
         case ChunkEncoding::Raw:
             ++info.rawChunks;
@@ -1057,26 +1041,24 @@ inspectTraceLog(const uint8_t *data, size_t len)
             break;
         case ChunkEncoding::Elided: {
             ++info.elidedChunks;
-            size_t nbits = (static_cast<size_t>(nrecords) + 7) / 8;
-            if (nbytes < nbits)
-                fatal("tracelog: truncated elision bitset");
+            size_t nbits = (static_cast<size_t>(ci.records) + 7) / 8;
             for (size_t i = 0; i < nbits; ++i) {
-                uint8_t byte = payload[i];
-                if (i == nbits - 1 && (nrecords & 7) != 0)
+                uint8_t byte = view.payload[i];
+                if (i == nbits - 1 && (ci.records & 7) != 0)
                     byte &= static_cast<uint8_t>(
-                        (1u << (nrecords & 7)) - 1);
+                        (1u << (ci.records & 7)) - 1);
                 ci.elidedRecords +=
                     static_cast<uint32_t>(__builtin_popcount(byte));
             }
             break;
         }
         }
-        info.records += nrecords;
-        info.payloadBytes += nbytes;
+        info.records += ci.records;
+        info.payloadBytes += ci.payloadBytes;
         info.elidedRecords += ci.elidedRecords;
         info.chunks.push_back(ci);
-        cursor = crc_cursor;
     }
+    return info;
 }
 
 } // namespace tea

@@ -21,9 +21,11 @@
  *            u64 total record count
  *
  * Version 1 encodes every record standalone (~15 bytes); the reader
- * accepts it forever. Version 2 — the writer default — compresses
- * three ways, each chunk self-contained (the codec state resets at
- * every chunk boundary, so salvage still recovers whole chunks):
+ * accepts it forever, and the writer still emits it as the baseline
+ * that compression ratios are measured against. Version 2 — the
+ * writer default — compresses three ways, each chunk self-contained
+ * (the codec state resets at every chunk boundary, so salvage still
+ * recovers whole chunks):
  *
  * - *delta records*: `from.start` is implied by (or a zigzag delta
  *   from) the previous record's `toStart`, and a per-chunk dictionary
@@ -92,31 +94,10 @@ enum class ChunkEncoding : uint8_t
 };
 
 /**
- * The standalone transition record encoding — v1 chunk payloads and
- * the legacy wire RECORD_CHUNK payload (net/frame.hh):
- *
- *   varint from.start, varint from.end - from.start, varint icount,
- *   u8 edge kind, varint toStart (kNoAddr for the final halt record)
- *
- * encodeTransition() appends one record to `out`; @throws FatalError
- * when the block bounds are inverted (end < start) — the only state a
- * live BlockTracker can never produce.
- */
-void encodeTransition(std::vector<uint8_t> &out,
-                      const BlockTransition &tr);
-
-/**
- * Decode one encodeTransition() record from `data[cursor..len)`,
- * advancing `cursor` past it. Truncation, overlong varints,
- * out-of-range addresses, and bad edge kinds all throw FatalError —
- * a malformed record is never partially surfaced.
- */
-BlockTransition decodeTransition(const uint8_t *data, size_t len,
-                                 size_t &cursor);
-
-/**
- * A borrowed view of one chunk's decoded framing: the reader (and the
- * wire) validate the CRC and hand the payload here for batch decode.
+ * A borrowed view of one chunk's decoded framing. The reader,
+ * inspectTraceLog() and decodeWireChunk() parse every chunk frame
+ * through one function that checks its head, limits and CRC, then hand
+ * the payload here for batch decode.
  */
 struct TraceChunkView
 {
@@ -153,10 +134,10 @@ void encodeChunkPayload(std::vector<uint8_t> &out,
                         const CompiledTea *automaton = nullptr);
 
 /**
- * The v2 wire RECORD_CHUNK payload: one self-contained framed chunk
- * (v2 chunk header + delta payload + CRC-32 over both), so a batch of
- * revisited blocks costs 2–4 bytes each on the wire instead of ~15.
- * Negotiated via RecordFlags::kChunksV2 (net/frame.hh).
+ * The wire RECORD_CHUNK payload (net/frame.hh): one self-contained
+ * framed chunk (v2 chunk header + delta payload + CRC-32 over both),
+ * so a batch of revisited blocks costs 2–4 bytes each on the wire
+ * instead of ~15. The writer frames its chunks with the same code.
  */
 void encodeWireChunk(std::vector<uint8_t> &out,
                      const BlockTransition *batch, size_t n);
@@ -231,6 +212,7 @@ class TraceLogWriter
     uint32_t version() const { return opts.version; }
 
   private:
+    void writeHeader();
     void emit(const uint8_t *data, size_t len);
     void flushChunk();
     void drainToFile(bool force);

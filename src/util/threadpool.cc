@@ -122,7 +122,7 @@ ThreadPool::workerLoop()
                 warn("threadpool: task failed: %s", what.c_str());
         }
         if (obs)
-            obs(ms, err != nullptr);
+            obs(ms);
         lock.lock();
         if (err) {
             ++failCount;

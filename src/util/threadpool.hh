@@ -48,12 +48,13 @@ class ThreadPool
 
     /**
      * Per-task completion hook: called on the worker thread after each
-     * task finishes, with the task's wall-clock duration and whether it
-     * threw. The observability layer wires this into a task-latency
-     * histogram and a failure counter (net/server.cc); installing one
-     * while tasks are running is safe. Pass an empty function to clear.
+     * task finishes, thrown or not, with the task's wall-clock
+     * duration. The observability layer wires this into a task-latency
+     * histogram (net/server.cc); failures() already counts the
+     * throwers. Installing one while tasks are running is safe. Pass
+     * an empty function to clear.
      */
-    using TaskObserver = std::function<void(double ms, bool failed)>;
+    using TaskObserver = std::function<void(double ms)>;
     void setTaskObserver(TaskObserver fn);
 
     /** Enqueue a task. @throws PanicError after shutdown began. */

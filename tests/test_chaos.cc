@@ -201,6 +201,11 @@ TEST_F(Chaos, BenignFaultsNeverChangeAnyResult)
     EXPECT_EQ(ok, 80u);
     EXPECT_GT(injected, 0u);
     server.stop();
+    // The loop-side faults armed by chaosServerConfig() are exported:
+    // each connection adds its socket's count when it is torn down.
+    EXPECT_GT(server.metrics().snapshot().counterValue(
+                  "loop.faults_injected"),
+              0u);
 }
 
 TEST_F(Chaos, MixedFaultsFailCleanOrMatchExactly)

@@ -602,6 +602,10 @@ TEST_F(NetLoopback, RetryRidesOutABusyServer)
     // A holds the only session slot and hangs up shortly; until then
     // every connect bounces.
     TeaClient a = TeaClient::connect(ep);
+    // An HTTP GET bounces too: BUSY goes out at admission, before the
+    // loop sniffs the protocol, and the helper refuses a non-HTTP reply.
+    EXPECT_THROW(httpGet(ep, "/healthz"), FatalError);
+    EXPECT_EQ(server.busyRejected(), 1u);
     std::thread releaser([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(40));
         a.close();

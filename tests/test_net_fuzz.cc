@@ -302,9 +302,13 @@ TEST(NetFuzz, PayloadReaderUnderrunAndTrailingBytesAreFatal)
 
 // ------------------------------------------------ RECORD_CHUNK v2 fuzz
 
-/** A golden recording conversation over negotiated v2 chunks. */
+/**
+ * A golden recording conversation over v2 chunks. `refusedFirst` puts
+ * a RECORD_BEGIN for the same name without the v2 flag ahead of it.
+ */
 std::vector<uint8_t>
-goldenRecordStream(const std::vector<BlockTransition> &stream)
+goldenRecordStream(const std::vector<BlockTransition> &stream,
+                   bool refusedFirst = false)
 {
     std::vector<uint8_t> out;
     PayloadWriter hello;
@@ -312,6 +316,12 @@ goldenRecordStream(const std::vector<BlockTransition> &stream)
     hello.u32(Wire::kVersion);
     appendFrame(out, MsgType::Hello, hello.out());
 
+    if (refusedFirst) {
+        PayloadWriter noV2;
+        noV2.str("fuzz");
+        noV2.u8(0);
+        appendFrame(out, MsgType::RecordBegin, noV2.out());
+    }
     PayloadWriter begin;
     begin.str("fuzz");
     begin.u8(RecordFlags::kChunksV2);
@@ -374,22 +384,38 @@ fuzzStream()
 
 TEST(NetRecordFuzz, GoldenV2RecordingCompletesWithAResult)
 {
-    Xorshift64Star rng(3);
-    std::vector<uint8_t> replies =
-        driveRecordSession(goldenRecordStream(fuzzStream()), rng);
-    // HELLO_OK, RECORD_OK (with the v2 ack byte), RECORD_RESULT.
-    FrameDecoder dec;
-    dec.feed(replies.data(), replies.size());
-    Frame f;
-    ASSERT_TRUE(dec.poll(f));
-    EXPECT_EQ(f.type, MsgType::HelloOk);
-    ASSERT_TRUE(dec.poll(f));
-    ASSERT_EQ(f.type, MsgType::RecordOk);
-    PayloadReader r(f.payload);
-    EXPECT_EQ(r.u8() & 1u, 1u) << "v2 must be acknowledged";
-    ASSERT_TRUE(dec.poll(f));
-    EXPECT_EQ(f.type, MsgType::RecordResult);
-    EXPECT_FALSE(dec.poll(f));
+    // The second input leads with a RECORD_BEGIN for the same name
+    // without the v2 flag: a non-fatal ERROR, and no name claimed —
+    // had it claimed "fuzz", the real BEGIN would draw an ERROR too.
+    for (bool refusedFirst : {false, true}) {
+        Xorshift64Star rng(3);
+        std::vector<uint8_t> replies = driveRecordSession(
+            goldenRecordStream(fuzzStream(), refusedFirst), rng);
+        // HELLO_OK, [ERROR], RECORD_OK (with the ack byte),
+        // RECORD_RESULT.
+        FrameDecoder dec;
+        dec.feed(replies.data(), replies.size());
+        Frame f;
+        ASSERT_TRUE(dec.poll(f));
+        EXPECT_EQ(f.type, MsgType::HelloOk);
+        if (refusedFirst) {
+            ASSERT_TRUE(dec.poll(f));
+            ASSERT_EQ(f.type, MsgType::Error);
+            PayloadReader err(f.payload);
+            EXPECT_EQ(err.u8(), 0u) << "the refusal must not be fatal";
+            EXPECT_NE(err.str(1024).find("v2"), std::string::npos);
+        }
+        ASSERT_TRUE(dec.poll(f));
+        ASSERT_EQ(f.type, MsgType::RecordOk);
+        PayloadReader r(f.payload);
+        EXPECT_EQ(r.u8(), 1u) << "the ack byte is always 1";
+        r.expectEnd();
+        ASSERT_TRUE(dec.poll(f));
+        ASSERT_EQ(f.type, MsgType::RecordResult);
+        PayloadReader res(f.payload);
+        EXPECT_EQ(res.u64(), fuzzStream().size()); // transitions
+        EXPECT_FALSE(dec.poll(f));
+    }
 }
 
 class CorruptRecordWire : public ::testing::TestWithParam<uint64_t>
@@ -399,7 +425,7 @@ class CorruptRecordWire : public ::testing::TestWithParam<uint64_t>
 TEST_P(CorruptRecordWire, DamagedV2ChunksNeverPanicTheSession)
 {
     // Flip bytes anywhere in the recording conversation — frame
-    // headers, the negotiated chunk head, the delta payload, the CRC.
+    // headers, the v2 chunk head, the delta payload, the CRC.
     // Every outcome must be a clean reply stream (possibly containing
     // an ERROR and a close) — never an exception out of consume(), a
     // panic, or a crash. ASan/UBSan sharpen this in the sanitize job.

@@ -366,9 +366,8 @@ TEST(Stats, EmptyPayloadMeansJsonAndExtraBytesAreIgnored)
     EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "{}");
 
     // Extra payload bytes after the format selector are ignored.
-    session.setStatsFn([](uint8_t format) {
-        return std::string(format == 1 ? "TEXT" : "JSON");
-    });
+    session.setStatsFn(
+        [](bool text) { return std::string(text ? "TEXT" : "JSON"); });
     PayloadWriter w;
     w.u8(0);
     w.u8(99);
@@ -391,6 +390,21 @@ TEST(Stats, EmptyPayloadMeansJsonAndExtraBytesAreIgnored)
     f = oneFrame(out);
     ASSERT_EQ(f.type, MsgType::StatsOk);
     EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "TEXT");
+
+    // The retired history (2) and flight (3) bytes, like any byte other
+    // than 1, answer the JSON report: those documents are HTTP routes.
+    for (uint8_t format : {2, 3, 99}) {
+        PayloadWriter old;
+        old.u8(format);
+        wire.clear();
+        appendFrame(wire, MsgType::Stats, old.out());
+        out.clear();
+        ASSERT_TRUE(session.consume(wire.data(), wire.size(), out));
+        f = oneFrame(out);
+        ASSERT_EQ(f.type, MsgType::StatsOk);
+        EXPECT_EQ(std::string(f.payload.begin(), f.payload.end()), "JSON")
+            << "format " << int(format);
+    }
 }
 
 TEST(Stats, StatsBeforeHelloIsAProtocolViolation)

@@ -14,10 +14,12 @@
  *   to the last finite bound, and the snapshot JSON carries them;
  * - the history ring's delta codec round-trips exactly, including
  *   across base-frame eviction;
- * - a raw `GET /metrics` against the event-loop wire listener returns
+ * - a `GET /metrics` against the event-loop wire listener returns
  *   OpenMetrics with per-automaton labeled series after a replay (the
  *   acceptance criterion), and /healthz, /history.json, and unknown
  *   paths behave;
+ * - /history.json and /flight.json, the documents `teadbt` fetches,
+ *   are served on tcp: and unix: listeners alike;
  * - a SIGSEGV in a forked child leaves a parseable flight dump behind.
  */
 
@@ -39,7 +41,6 @@
 #include "dbt/runtime.hh"
 #include "net/client.hh"
 #include "net/server.hh"
-#include "net/socket.hh"
 #include "obs/flightrec.hh"
 #include "obs/history.hh"
 #include "obs/metrics.hh"
@@ -306,25 +307,6 @@ TEST(OpenMetrics, RendersCountersHistogramsAndLabels)
 
 // ----------------------------------------------- http on the wire listener
 
-/** One blocking HTTP/1.1 exchange against the server's wire listener. */
-std::string
-httpGet(const std::string &endpoint, const std::string &target)
-{
-    Socket s = Socket::connectTo(Endpoint::parse(endpoint));
-    std::string req = "GET " + target + " HTTP/1.1\r\n"
-                      "Host: tead\r\nConnection: close\r\n\r\n";
-    s.sendAll(req.data(), req.size());
-    std::string resp;
-    char buf[4096];
-    for (;;) {
-        size_t n = s.recvSome(buf, sizeof(buf));
-        if (n == 0)
-            break;
-        resp.append(buf, n);
-    }
-    return resp;
-}
-
 TEST(Http, MetricsHealthHistoryAnd404OnSharedListener)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
@@ -343,41 +325,40 @@ TEST(Http, MetricsHealthHistoryAnd404OnSharedListener)
     client.replay("gz", log);
     client.close();
 
-    std::string metrics = httpGet(server.endpoint(), "/metrics");
-    EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(metrics.find("application/openmetrics-text"),
+    HttpReply metrics = httpGet(server.endpoint(), "/metrics");
+    EXPECT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.headers.find("application/openmetrics-text"),
               std::string::npos);
     // The acceptance criterion: per-automaton labeled series after a
     // replay, attributed to the name the client replayed under.
-    EXPECT_NE(metrics.find("tea_svc_streams_by_automaton_total"
-                           "{automaton=\"gz\"} 1"),
+    EXPECT_NE(metrics.body.find("tea_svc_streams_by_automaton_total"
+                                "{automaton=\"gz\"} 1"),
               std::string::npos)
-        << metrics;
-    EXPECT_NE(metrics.find("tea_svc_transitions_by_automaton_total"
-                           "{automaton=\"gz\"}"),
+        << metrics.body;
+    EXPECT_NE(metrics.body.find("tea_svc_transitions_by_automaton_total"
+                                "{automaton=\"gz\"}"),
               std::string::npos);
-    EXPECT_NE(metrics.find("tea_svc_replay_ms_by_automaton_bucket"
-                           "{automaton=\"gz\",le=\"+Inf\"} 1"),
+    EXPECT_NE(metrics.body.find("tea_svc_replay_ms_by_automaton_bucket"
+                                "{automaton=\"gz\",le=\"+Inf\"} 1"),
               std::string::npos);
-    EXPECT_NE(metrics.find("# EOF\n"), std::string::npos);
+    EXPECT_NE(metrics.body.find("# EOF\n"), std::string::npos);
 
-    std::string health = httpGet(server.endpoint(), "/healthz");
-    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(health.find("ok\n"), std::string::npos);
+    HttpReply health = httpGet(server.endpoint(), "/healthz");
+    EXPECT_EQ(health.status, 200);
+    EXPECT_EQ(health.body, "ok\n");
 
     // Wait for at least two sampler frames, then fetch the history.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    std::string hist = httpGet(server.endpoint(), "/history.json");
-    EXPECT_NE(hist.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(hist.find("\"svc.streams\""), std::string::npos) << hist;
-    EXPECT_NE(hist.find("\"frames\""), std::string::npos);
+    HttpReply hist = httpGet(server.endpoint(), "/history.json");
+    EXPECT_EQ(hist.status, 200);
+    EXPECT_NE(hist.body.find("\"svc.streams\""), std::string::npos)
+        << hist.body;
+    EXPECT_NE(hist.body.find("\"frames\""), std::string::npos);
 
-    std::string missing = httpGet(server.endpoint(), "/nope");
-    EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
+    EXPECT_EQ(httpGet(server.endpoint(), "/nope").status, 404);
 
     // Query strings are routing noise, not a different resource.
-    std::string q = httpGet(server.endpoint(), "/healthz?probe=1");
-    EXPECT_NE(q.find("HTTP/1.1 200 OK"), std::string::npos);
+    EXPECT_EQ(httpGet(server.endpoint(), "/healthz?probe=1").status, 200);
 
     // The scrapes were counted on the shared loop.
     EXPECT_GE(server.metrics().snapshot().counterValue(
@@ -386,25 +367,40 @@ TEST(Http, MetricsHealthHistoryAnd404OnSharedListener)
     server.stop();
 }
 
-TEST(Http, StatsWireFormatsServeHistoryAndFlight)
+TEST(Http, HistoryAndFlightDocumentsOnUnixAndTcpListeners)
 {
-    ServerConfig cfg;
-    cfg.workers = 1;
-    cfg.historyIntervalMs = 50;
-    TeaServer server(cfg);
-    server.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    // The two documents `teadbt stats --history` and `teadbt
+    // flight-dump` GET, through the same helper, on both listener
+    // families: the loop sniffs `GET ` on every listener.
+    for (const std::string &endpoint :
+         {std::string("tcp:127.0.0.1:0"),
+          "unix:" + tempPath("http") + ".sock"}) {
+        ServerConfig cfg;
+        cfg.endpoint = endpoint;
+        cfg.workers = 1;
+        cfg.historyIntervalMs = 50;
+        TeaServer server(cfg);
+        server.start();
+        std::this_thread::sleep_for(std::chrono::milliseconds(120));
 
-    TeaClient client = TeaClient::connect(server.endpoint());
-    std::string hist = client.statsFormat(2);
-    EXPECT_NE(hist.find("\"series\""), std::string::npos) << hist;
-    EXPECT_NE(hist.find("\"server.requests\""), std::string::npos);
-    std::string flight = client.statsFormat(3);
-    EXPECT_NE(flight.find("\"reason\": \"stats\""), std::string::npos)
-        << flight;
-    EXPECT_NE(flight.find("\"version\": 1"), std::string::npos);
-    client.close();
-    server.stop();
+        HttpReply hist = httpGet(server.endpoint(), "/history.json");
+        EXPECT_EQ(hist.status, 200) << endpoint;
+        EXPECT_NE(hist.headers.find("Content-Type: application/json"),
+                  std::string::npos)
+            << hist.headers;
+        EXPECT_NE(hist.body.find("\"series\""), std::string::npos)
+            << hist.body;
+        EXPECT_NE(hist.body.find("\"server.requests\""),
+                  std::string::npos);
+
+        HttpReply flight = httpGet(server.endpoint(), "/flight.json");
+        EXPECT_EQ(flight.status, 200) << endpoint;
+        EXPECT_NE(flight.body.find("\"reason\": \"http\""),
+                  std::string::npos)
+            << flight.body;
+        EXPECT_NE(flight.body.find("\"version\": 1"), std::string::npos);
+        server.stop();
+    }
 }
 
 TEST(Http, StatsSpanLimitBoundsTheSnapshot)

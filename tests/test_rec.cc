@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -151,7 +152,21 @@ readAllBytes(const std::string &path)
                                 std::istreambuf_iterator<char>());
 }
 
-// ------------------------------------------------- shared transition codec
+// --------------------------------------------------- raw transition codec
+
+/** Decode one Raw chunk payload claiming `records` records. */
+std::vector<BlockTransition>
+decodeRaw(const uint8_t *payload, size_t size, uint32_t records)
+{
+    TraceChunkView view;
+    view.records = records;
+    view.encoding = ChunkEncoding::Raw;
+    view.payload = payload;
+    view.size = size;
+    std::vector<BlockTransition> out;
+    decodeChunk(view, nullptr, out);
+    return out;
+}
 
 TEST(TransitionCodec, RoundTripsEveryShape)
 {
@@ -182,13 +197,10 @@ TEST(TransitionCodec, RoundTripsEveryShape)
     in.push_back(tr);
 
     std::vector<uint8_t> bytes;
-    for (const BlockTransition &t : in)
-        encodeTransition(bytes, t);
-
-    size_t cursor = 0;
-    std::vector<BlockTransition> out;
-    while (cursor < bytes.size())
-        out.push_back(decodeTransition(bytes.data(), bytes.size(), cursor));
+    encodeChunkPayload(bytes, ChunkEncoding::Raw, in.data(), in.size());
+    std::vector<BlockTransition> out =
+        decodeRaw(bytes.data(), bytes.size(),
+                  static_cast<uint32_t>(in.size()));
     ASSERT_EQ(out.size(), in.size());
     for (size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(out[i].from.start, in[i].from.start) << i;
@@ -208,19 +220,15 @@ TEST(TransitionCodec, RejectsMalformedRecords)
     tr.from.icount = 5;
     tr.toStart = 0x5000;
     std::vector<uint8_t> bytes;
-    encodeTransition(bytes, tr);
+    encodeChunkPayload(bytes, ChunkEncoding::Raw, &tr, 1);
 
     // Every proper prefix is a truncation.
-    for (size_t cut = 0; cut < bytes.size(); ++cut) {
-        size_t cursor = 0;
-        EXPECT_THROW(decodeTransition(bytes.data(), cut, cursor),
-                     FatalError)
+    for (size_t cut = 0; cut < bytes.size(); ++cut)
+        EXPECT_THROW(decodeRaw(bytes.data(), cut, 1), FatalError)
             << "cut at " << cut;
-    }
     // An out-of-range edge kind must be rejected, not cast through.
     std::vector<uint8_t> bad = bytes;
-    size_t cursor = 0;
-    decodeTransition(bad.data(), bad.size(), cursor); // sanity: intact
+    decodeRaw(bad.data(), bad.size(), 1); // sanity: intact
     // The kind byte sits right before the trailing toStart varint;
     // corrupt it by re-encoding with a patched payload instead of
     // guessing the offset: find it by scanning for the Call value.
@@ -232,22 +240,21 @@ TEST(TransitionCodec, RejectsMalformedRecords)
         }
     }
     ASSERT_TRUE(patched);
-    cursor = 0;
-    EXPECT_THROW(decodeTransition(bad.data(), bad.size(), cursor),
-                 FatalError);
+    EXPECT_THROW(decodeRaw(bad.data(), bad.size(), 1), FatalError);
 
     // An inverted block (end < start) is unencodable.
     tr.from.start = 0x4010;
     tr.from.end = 0x4000;
     std::vector<uint8_t> sink;
-    EXPECT_THROW(encodeTransition(sink, tr), FatalError);
+    EXPECT_THROW(encodeChunkPayload(sink, ChunkEncoding::Raw, &tr, 1),
+                 FatalError);
 }
 
-TEST(TransitionCodec, TraceLogRoundTripUsesTheSameEncoding)
+TEST(TransitionCodec, TraceLogChunkIsTheWireChunk)
 {
-    // The `.tlog` chunk payload and the RECORD chunk payload must be
-    // the same bytes: write a log, then re-encode the decoded records
-    // with the shared codec and replay the comparison both ways.
+    // The writer and the wire frame chunks with one emitter: a v2 log
+    // of one chunk is its 8-byte header, exactly the RECORD_CHUNK
+    // payload of the same records, and the 12-byte trailer.
     std::vector<BlockTransition> in = syntheticStream(0, 31);
     std::vector<uint8_t> logBytes;
     TraceLogWriter writer(&logBytes);
@@ -255,14 +262,25 @@ TEST(TransitionCodec, TraceLogRoundTripUsesTheSameEncoding)
         writer.append(t);
     writer.finish();
 
-    std::vector<BlockTransition> decoded = readTraceLog(logBytes);
-    ASSERT_EQ(decoded.size(), in.size());
-    std::vector<uint8_t> a, b;
-    for (size_t i = 0; i < in.size(); ++i) {
-        encodeTransition(a, in[i]);
-        encodeTransition(b, decoded[i]);
-    }
+    std::vector<uint8_t> wire;
+    encodeWireChunk(wire, in.data(), in.size());
+    ASSERT_EQ(logBytes.size(), 8 + wire.size() + 12);
+    EXPECT_TRUE(std::equal(wire.begin(), wire.end(), logBytes.begin() + 8));
+
+    // Both decode to the records that went in.
+    std::vector<BlockTransition> fromLog = readTraceLog(logBytes);
+    std::vector<BlockTransition> fromWire =
+        decodeWireChunk(wire.data(), wire.size());
+    ASSERT_EQ(fromLog.size(), in.size());
+    ASSERT_EQ(fromWire.size(), in.size());
+    std::vector<uint8_t> a, b, c;
+    encodeChunkPayload(a, ChunkEncoding::Raw, in.data(), in.size());
+    encodeChunkPayload(b, ChunkEncoding::Raw, fromLog.data(),
+                       fromLog.size());
+    encodeChunkPayload(c, ChunkEncoding::Raw, fromWire.data(),
+                       fromWire.size());
     EXPECT_EQ(a, b);
+    EXPECT_EQ(a, c);
 }
 
 // --------------------------------------------------- incremental recompile
@@ -713,12 +731,12 @@ TEST(RecordWire, ConflictsAndBadSelectorsAreNonFatal)
     server.stop();
 }
 
-TEST(RecordWire, V2ChunksAreNegotiatedSmallerAndBitIdentical)
+TEST(RecordWire, V2ChunksAreSmallerThanRawAndBitIdentical)
 {
-    // The same stream recorded twice: once over the negotiated v2
-    // delta chunks (the default), once with the --log-v1 escape hatch.
-    // The server-side result must be bit-identical either way, and the
-    // v2 conversation must put materially fewer bytes on the wire.
+    // One stream recorded over the wire's v2 delta chunks. The result
+    // must be bit-identical to the offline recorder, and the upload
+    // must be at most half the stream's Raw chunk encoding (~15 bytes
+    // a record, what every chunk cost before delta coding).
     std::vector<BlockTransition> stream = workloadTransitions("syn.gzip");
 
     ServerConfig cfg;
@@ -727,38 +745,30 @@ TEST(RecordWire, V2ChunksAreNegotiatedSmallerAndBitIdentical)
     TeaServer server(cfg);
     server.start();
 
-    TeaClient v2 = TeaClient::connect(server.endpoint());
-    v2.recordBegin("enc-v2");
-    EXPECT_TRUE(v2.recordChunksV2()) << "server must ack the v2 offer";
-    v2.recordChunk(stream.data(), stream.size());
-    RemoteRecordResult resV2 = v2.recordEnd();
-    uint64_t v2Bytes = v2.bytesSent();
-    EXPECT_GT(v2.bytesReceived(), 0u);
-    v2.close();
+    TeaClient client = TeaClient::connect(server.endpoint());
+    uint64_t handshake = client.bytesSent();
+    RemoteRecordResult res = client.record("enc-v2", stream);
+    uint64_t uploadBytes = client.bytesSent() - handshake;
+    EXPECT_GT(client.bytesReceived(), 0u);
+    client.close();
 
-    RemoteRecordOptions opt;
-    opt.v1Chunks = true;
-    TeaClient v1 = TeaClient::connect(server.endpoint());
-    v1.recordBegin("enc-v1", opt);
-    EXPECT_FALSE(v1.recordChunksV2());
-    v1.recordChunk(stream.data(), stream.size());
-    RemoteRecordResult resV1 = v1.recordEnd();
-    uint64_t v1Bytes = v1.bytesSent();
-    v1.close();
-
-    EXPECT_EQ(resV2.transitions, stream.size());
-    EXPECT_EQ(resV1.transitions, stream.size());
-    EXPECT_EQ(resV2.traces, resV1.traces);
-    EXPECT_EQ(resV2.states, resV1.states);
-    EXPECT_EQ(statsBytes(resV2.stats), statsBytes(resV1.stats));
-    EXPECT_LT(v2Bytes * 2, v1Bytes)
+    std::vector<uint8_t> raw;
+    encodeChunkPayload(raw, ChunkEncoding::Raw, stream.data(),
+                       stream.size());
+    EXPECT_LT(uploadBytes * 2, raw.size())
         << "delta chunks should at least halve the upload";
 
-    // The negotiated traffic shows up in the rec.wire_bytes counter.
-    TeaClient probe = TeaClient::connect(server.endpoint());
-    std::string stats = probe.stats(/*text=*/false);
-    EXPECT_NE(stats.find("rec.wire_bytes"), std::string::npos);
-    probe.close();
+    TeaRecorder offline(makeSelector("mret"));
+    for (const BlockTransition &tr : stream)
+        offline.feed(tr);
+    EXPECT_EQ(res.transitions, stream.size());
+    EXPECT_EQ(res.traces, offline.traces().size());
+    EXPECT_EQ(res.states, offline.tea().numStates());
+    EXPECT_EQ(statsBytes(res.stats), statsBytes(offline.stats()));
+
+    // The traffic shows up in the rec.wire_bytes counter.
+    EXPECT_GT(server.metrics().snapshot().counterValue("rec.wire_bytes"),
+              0u);
     server.stop();
 }
 

@@ -460,11 +460,11 @@ TEST(TraceLogWire, WireChunkRoundTrips)
         EXPECT_TRUE(sameTr(back[i], stream[i])) << "record " << i;
 
     // The wire chunk is the same delta codec the container uses:
-    // dramatically smaller than per-record encodeTransition bytes.
-    std::vector<uint8_t> legacy;
-    for (const auto &tr : stream)
-        encodeTransition(legacy, tr);
-    EXPECT_LT(wire.size(), legacy.size());
+    // dramatically smaller than the Raw encoding of the same records.
+    std::vector<uint8_t> raw;
+    encodeChunkPayload(raw, ChunkEncoding::Raw, stream.data(),
+                       stream.size());
+    EXPECT_LT(wire.size(), raw.size());
 }
 
 TEST(TraceLogWire, CorruptionAndTrailingBytesAreFatal)

@@ -382,6 +382,51 @@ TEST(TraceLogFuzz, TrailingGarbageIsFatal)
     }
 }
 
+TEST(TraceLogFuzz, OverclaimedRecordCountIsFatalEverywhere)
+{
+    // One CRC-valid Delta chunk that claims 1000 records in 10 payload
+    // bytes, with a trailer that agrees. Every record costs at least a
+    // byte, so the reader, the inspector (`teadbt log-info`) and the
+    // wire decoder must all refuse the chunk frame itself.
+    auto put32 = [](std::vector<uint8_t> &out, uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    std::vector<uint8_t> chunk;
+    put32(chunk, 1000);
+    chunk.push_back(static_cast<uint8_t>(ChunkEncoding::Delta));
+    put32(chunk, 10);
+    chunk.insert(chunk.end(), 10, 0x00);
+    put32(chunk, crc32(chunk.data(), chunk.size()));
+
+    std::vector<uint8_t> log;
+    put32(log, TraceLogFormat::kMagic);
+    put32(log, TraceLogFormat::kVersion);
+    log.insert(log.end(), chunk.begin(), chunk.end());
+    put32(log, 0);
+    put32(log, 1000); // u64 trailer total, low word
+    put32(log, 0);
+
+    auto message = [](auto &&fn) -> std::string {
+        try {
+            fn();
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    const std::string want =
+        "chunk record count 1000 exceeds payload bytes 10";
+    std::string inspect =
+        message([&] { inspectTraceLog(log.data(), log.size()); });
+    std::string read = message([&] { readTraceLog(log); });
+    std::string wire =
+        message([&] { decodeWireChunk(chunk.data(), chunk.size()); });
+    EXPECT_NE(inspect.find(want), std::string::npos) << inspect;
+    EXPECT_NE(read.find(want), std::string::npos) << read;
+    EXPECT_NE(wire.find(want), std::string::npos) << wire;
+}
+
 // --------------------------------------------------- elided-log fuzzing
 
 /** A recorded workload, its automaton, and its elided log. */

@@ -23,7 +23,6 @@ set(cases
     "dot"
     "record-log|syn.mcf"      # missing --log
     "record-log"
-    "record-log|syn.mcf|--log|o.tlog|--elide|--log-v1" # v1 can't elide
     "record-log|syn.mcf|--log|o.tlog|--teac|o.teac" # --teac needs --elide
     "log-info"                # missing <file.tlog>
     "log-info|a.tlog|b.tlog"  # excess positional

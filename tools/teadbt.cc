@@ -25,11 +25,10 @@
  *   dot <prog> [--selector S]          print the TEA in GraphViz DOT
  *   workloads                          list the synthetic SPEC suite
  *   record-log <prog> --log F [--pin]  record the block-transition
- *                                      stream to a trace log (svc);
- *                                      --log-v1 writes the legacy
- *                                      container, --elide predicts
- *                                      against a recorded automaton
- *                                      (--teac F saves it alongside)
+ *                                      stream to a v2 trace log (svc);
+ *                                      --elide predicts against a
+ *                                      recorded automaton (--teac F
+ *                                      saves it alongside)
  *   log-info <file.tlog>               inspect a trace log's framing,
  *                                      per-chunk encodings, and
  *                                      compression ratio (--json;
@@ -63,16 +62,16 @@
  *                                      snapshot (metrics + recent
  *                                      spans; --json for the raw
  *                                      document, --watch N to poll,
- *                                      --history for the time-series
- *                                      ring as JSON)
- *   flight-dump --connect EP           fetch the server's flight-
- *                                      recorder box as JSON (--out F
- *                                      writes a file)
+ *                                      --history GETs the time-series
+ *                                      ring, /history.json)
+ *   flight-dump --connect EP           GET the server's flight-
+ *                                      recorder box, /flight.json
+ *                                      (--out F writes a file)
  *
- * serve also exposes HTTP on the same listener (GET /metrics,
- * /healthz, /history.json, /flight.json) and arms an always-on
- * flight recorder (--flight-dump PATH, --no-flight) that writes a
- * post-mortem JSON dump on fatal signals and FatalError exits.
+ * serve also exposes HTTP on the same listener, tcp: or unix: (GET
+ * /metrics, /healthz, /history.json, /flight.json), and arms an
+ * always-on flight recorder (--flight-dump PATH, --no-flight) that
+ * writes a post-mortem JSON dump on fatal signals and FatalError exits.
  *
  * <prog> is either a TinyX86 assembly file path or a workload name
  * ("syn.gzip"); workload names accept --size test|train|ref.
@@ -162,7 +161,6 @@ struct Options
     bool noFlight = false;     ///< serve: skip arming the flight recorder
     bool history = false;      ///< stats: fetch the time-series history
     bool salvage = false;      ///< batch-replay: recover torn logs
-    bool logV1 = false;        ///< record-log: legacy v1 container
     bool elide = false;        ///< record-log: automaton-predicted elision
     bool live = false;         ///< record --connect: stream an execution
     bool pinPolicy = false;
@@ -195,7 +193,7 @@ usage()
         "  dot <prog> [--selector S]\n"
         "  workloads\n"
         "  record-log <prog> --log out.tlog [--pin] [--size S]\n"
-        "         [--log-v1] [--elide [--teac out.teac] [--selector S]]\n"
+        "         [--elide [--teac out.teac] [--selector S]]\n"
         "  log-info <file.tlog> [--json] [--teac file.teac]\n"
         "  batch-replay [--jobs N] [--json] [--salvage] <tea-file> "
         "<log>...\n"
@@ -351,8 +349,6 @@ parseArgs(int argc, char **argv)
             opt.history = true;
         else if (arg == "--live")
             opt.live = true;
-        else if (arg == "--log-v1")
-            opt.logV1 = true;
         else if (arg == "--elide")
             opt.elide = true;
         else if (arg == "--salvage")
@@ -725,15 +721,11 @@ cmdRecordLog(const Options &opt)
 {
     if (opt.logFile.empty())
         usage();
-    if (opt.elide && opt.logV1)
-        usage(); // elision lives in the v2 container only
     if (!opt.teacFile.empty() && !opt.elide)
         usage(); // --teac is the elision automaton's output path
     Program prog = loadProgram(opt);
 
     TraceLogOptions lopt;
-    if (opt.logV1)
-        lopt.version = TraceLogFormat::kVersionV1;
     if (opt.elide) {
         // Record the automaton in a first pass, then write the log with
         // the writer predicting against it. A tracker-config mismatch
@@ -1260,6 +1252,16 @@ cmdServe(const Options &opt)
     return 0;
 }
 
+/** GET one of the server's JSON documents; non-200 is fatal. */
+std::string
+httpDocument(const std::string &endpoint, const std::string &path)
+{
+    HttpReply reply = httpGet(endpoint, path);
+    if (reply.status != 200)
+        fatal("GET %s: HTTP %d", path.c_str(), reply.status);
+    return reply.body;
+}
+
 int
 cmdStats(const Options &opt)
 {
@@ -1276,14 +1278,16 @@ cmdStats(const Options &opt)
         // A fresh connection per round: --watch keeps working across
         // server restarts, and a one-shot fetch stays a clean
         // connect/exchange/close.
-        TeaClient client = TeaClient::connect(opt.endpoint);
-        // --history asks for format byte 2: the delta-compressed
-        // time-series ring rendered as JSON (always JSON; --json is
-        // implied).
-        std::string report = opt.history
-                                 ? client.statsFormat(2)
-                                 : client.stats(/*text=*/!opt.json);
-        client.close();
+        // --history GETs the delta-compressed time-series ring,
+        // rendered as JSON (--json is implied).
+        std::string report;
+        if (opt.history) {
+            report = httpDocument(opt.endpoint, "/history.json");
+        } else {
+            TeaClient client = TeaClient::connect(opt.endpoint);
+            report = client.stats(/*text=*/!opt.json);
+            client.close();
+        }
         std::fputs(report.c_str(), stdout);
         if (opt.json || opt.history)
             std::printf("\n");
@@ -1298,11 +1302,9 @@ cmdFlightDump(const Options &opt)
 {
     if (opt.endpoint.empty())
         usage();
-    TeaClient client = TeaClient::connect(opt.endpoint);
-    // STATS format byte 3: the server renders its flight recorder —
-    // same document a crash would have written, minus the crash.
-    std::string doc = client.statsFormat(3);
-    client.close();
+    // The server renders its flight recorder — same document a crash
+    // would have written, minus the crash.
+    std::string doc = httpDocument(opt.endpoint, "/flight.json");
     if (opt.outDir.empty()) {
         std::fputs(doc.c_str(), stdout);
         std::printf("\n");
