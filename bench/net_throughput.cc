@@ -26,18 +26,20 @@
  * X` turns the v1/v2 ratio into a CI gate, failing the run when the v2
  * upload stops being at least X times smaller on the wire.
  *
- * The scrape row re-runs the 8-client event-loop configuration with a
+ * The scrape rows re-run the 8-client event-loop configuration with a
  * concurrent HTTP scraper hammering GET /metrics on the same listener
  * at 1 Hz — the Prometheus-shaped workload the exposition endpoint
- * invites. `--min-scrape-ratio X` gates scraped replay throughput at X
- * times the unscraped 8-client run (CI pins it at 0.95), so a scrape
- * can never quietly tax the replay path.
+ * invites — interleaved with as many unscraped ("quiet") rows, so host
+ * drift lands on both sides alike. `--min-scrape-ratio X` gates the
+ * median scraped throughput at X times the median quiet one (CI pins
+ * it at 0.95), so a scrape can never quietly tax the replay path.
  *
  * Usage: net_throughput [--size test|train|ref] [--streams N]
  *                       [--held-open N] [--min-wire-compression X]
  *                       [--min-scrape-ratio X]
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +47,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/harness.hh"
 #include "net/client.hh"
@@ -80,6 +83,26 @@ recordLog(const Program &prog,
     return bytes;
 }
 
+/** Scraped and quiet 8-client batches the scrape gate compares. */
+constexpr int kScrapeRounds = 9;
+
+/**
+ * Streams in each of those batches (at least --streams). On a 4-thread
+ * host a batch of 8 test-size streams lasts 2-5 ms, mostly thread
+ * start and connect, and its throughput varied by ±15% round to round;
+ * 256 streams last ~100 ms, long enough that the scrape is what
+ * differs.
+ */
+constexpr size_t kScrapeStreams = 256;
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t mid = v.size() / 2;
+    return v.size() % 2 != 0 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
+
 } // namespace
 
 int
@@ -111,11 +134,13 @@ main(int argc, char **argv)
         buildTea(recordWithDbt(w, "mret")));
     std::vector<uint8_t> log = recordLog(w.program);
 
-    // Local reference: the same batch through ReplayService.
+    // Local references: the same batches through ReplayService.
     std::vector<ReplayJob> jobs(streams, ReplayJob{tea, "", &log});
     ReplayService local(1);
     BatchResult reference = local.runBatch(jobs);
-    if (reference.failures != 0) {
+    BatchResult scrapeReference = local.runBatch(std::vector<ReplayJob>(
+        std::max(streams, kScrapeStreams), jobs.front()));
+    if (reference.failures != 0 || scrapeReference.failures != 0) {
         std::fprintf(stderr, "local reference batch failed\n");
         return 1;
     }
@@ -133,16 +158,18 @@ main(int argc, char **argv)
     TextTable table({"run", "clients", "held", "batch ms", "streams/s",
                      "speedup", "wire KB/req"});
     double base_sps = 0.0;  // the 1-client speedup baseline
-    double sps_at_8 = 0.0;  // the scrape gate's denominator
 
-    // One measured configuration: `clients` threads splitting the
-    // batch round-robin against a fresh server, with `heldOpen` extra
-    // idle connections parked on it and (when `scrape` is set) a
-    // concurrent 1 Hz HTTP /metrics scraper on the same listener for
-    // the duration. Returns streams/sec, or a negative value after
-    // printing the failure.
-    auto runScale = [&](unsigned clients, size_t heldOpen,
-                        bool scrape) -> double {
+    // One measured configuration, a table row labelled `run`:
+    // `clients` threads splitting the batch of `ref` round-robin
+    // against a fresh server, with `heldOpen` extra idle connections
+    // parked on it and (when `scrape` is set) a concurrent 1 Hz HTTP
+    // /metrics scraper on the same listener for the duration. Every
+    // result must equal `ref`'s. Returns streams/sec, or a negative
+    // value after printing the failure.
+    auto runScale = [&](const char *run, unsigned clients,
+                        size_t heldOpen, bool scrape,
+                        const BatchResult &ref) -> double {
+        size_t batch = ref.streams.size();
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
         cfg.workers = clients;
@@ -197,7 +224,7 @@ main(int argc, char **argv)
 
         // Streams round-robined over the clients; every client keeps
         // its connection for its whole share of the batch.
-        std::vector<StreamResult> results(streams);
+        std::vector<StreamResult> results(batch);
         std::vector<int> failed(clients, 0);
         std::vector<uint64_t> wire(clients, 0);
         Stopwatch timer;
@@ -208,7 +235,7 @@ main(int argc, char **argv)
                     TeaClient client = TeaClient::connect(ep);
                     RemoteReplayOptions opt;
                     opt.wantProfile = true;
-                    for (size_t s = c; s < streams; s += clients) {
+                    for (size_t s = c; s < batch; s += clients) {
                         RemoteReplayResult r =
                             client.replay("gzip", log, opt);
                         results[s].stats = r.stats;
@@ -245,10 +272,9 @@ main(int argc, char **argv)
 
         // Bit-identical to the local batch: per-stream and merged.
         std::vector<uint64_t> merged(tea->numStates(), 0);
-        for (size_t s = 0; s < streams; ++s) {
-            if (!(results[s].stats == reference.streams[s].stats) ||
-                results[s].execCounts !=
-                    reference.streams[s].execCounts) {
+        for (size_t s = 0; s < batch; ++s) {
+            if (!(results[s].stats == ref.streams[s].stats) ||
+                results[s].execCounts != ref.streams[s].execCounts) {
                 std::fprintf(stderr,
                              "stream %zu diverges from the local batch "
                              "(%u clients)\n",
@@ -258,60 +284,64 @@ main(int argc, char **argv)
             for (size_t i = 0; i < results[s].execCounts.size(); ++i)
                 merged[i] += results[s].execCounts[i];
         }
-        if (merged != reference.mergedExecCounts) {
+        if (merged != ref.mergedExecCounts) {
             std::fprintf(stderr, "merged profile diverges (%u clients)\n",
                          clients);
             return -1.0;
         }
 
-        double sps = ms > 0 ? 1e3 * static_cast<double>(streams) / ms : 0;
+        double sps = ms > 0 ? 1e3 * static_cast<double>(batch) / ms : 0;
         if (clients == 1 && heldOpen == 0 && !scrape)
             base_sps = sps;
         uint64_t wire_total = 0;
         for (uint64_t b : wire)
             wire_total += b;
-        table.addRow({scrape ? "scrape" : heldOpen > 0 ? "held" : "scale",
-                      std::to_string(clients),
+        table.addRow({run, std::to_string(clients),
                       std::to_string(heldOpen), TextTable::num(ms, 1),
                       TextTable::num(sps, 1),
                       TextTable::num(base_sps > 0 ? sps / base_sps : 0.0,
                                      2),
                       TextTable::num(static_cast<double>(wire_total) /
-                                         static_cast<double>(streams) /
+                                         static_cast<double>(batch) /
                                          1024.0,
                                      1)});
         return sps;
     };
 
-    // The scaling sweep runs to at least 8 clients so the scrape gate
-    // always has its comparison point.
-    for (unsigned clients = 1; clients <= std::max(8u, hw); clients *= 2) {
-        double sps = runScale(clients, 0, false);
-        if (sps < 0)
+    // The scaling sweep runs to at least 8 clients, the configuration
+    // the held and scrape rows repeat.
+    for (unsigned clients = 1; clients <= std::max(8u, hw); clients *= 2)
+        if (runScale("scale", clients, 0, false, reference) < 0)
             return 1;
-        if (clients == 8)
-            sps_at_8 = sps;
-    }
 
     // The held-open pile: 8 clients replaying past the idle spectators.
-    if (held_open > 0 && runScale(8, held_open, false) < 0)
+    if (held_open > 0 &&
+        runScale("held", 8, held_open, false, reference) < 0)
         return 1;
 
-    // The scraped row: the same 8-client batch with the 1 Hz /metrics
-    // scraper sharing the listener.
-    double scraped_sps = runScale(8, 0, true);
-    if (scraped_sps < 0)
-        return 1;
+    // The scrape gate's rounds: the same 8-client batch without and
+    // with the 1 Hz /metrics scraper sharing the listener, alternated.
+    std::vector<double> quiet;
+    std::vector<double> scraped;
+    for (int round = 0; round < kScrapeRounds; ++round) {
+        quiet.push_back(runScale("quiet", 8, 0, false, scrapeReference));
+        scraped.push_back(runScale("scrape", 8, 0, true, scrapeReference));
+        if (quiet.back() < 0 || scraped.back() < 0)
+            return 1;
+    }
 
     std::fputs(table.render().c_str(), stdout);
     std::printf("(remote results bit-identical to the local batch in "
                 "every configuration; held = idle connections parked "
                 "on the server for the whole batch)\n");
 
-    double scrape_ratio = sps_at_8 > 0 ? scraped_sps / sps_at_8 : 0.0;
-    std::printf("scraped vs unscraped at 8 clients: %.1f vs %.1f "
-                "streams/s (%.2fx under a 1 Hz /metrics scraper)\n",
-                scraped_sps, sps_at_8, scrape_ratio);
+    double scraped_sps = median(scraped);
+    double quiet_sps = median(quiet);
+    double scrape_ratio = quiet_sps > 0 ? scraped_sps / quiet_sps : 0.0;
+    std::printf("scraped vs unscraped at 8 clients, medians of %d "
+                "interleaved rounds: %.1f vs %.1f streams/s (%.2fx under "
+                "a 1 Hz /metrics scraper)\n",
+                kScrapeRounds, scraped_sps, quiet_sps, scrape_ratio);
     if (min_scrape_ratio > 0 && scrape_ratio < min_scrape_ratio) {
         std::printf("FAIL: scraped throughput only %.2fx of unscraped, "
                     "gate requires %.2fx\n",

@@ -10,6 +10,27 @@
 
 namespace tea {
 
+namespace {
+
+/**
+ * A request's stream frames are framed into one buffer and written
+ * together once it reaches this size; the END frame rides the last
+ * write, so no request ends on a lone small frame.
+ */
+constexpr size_t kSendBatch = 1u << 20;
+
+/** Encode one v2 delta chunk and append its RECORD_CHUNK frame. */
+void
+appendRecordChunk(std::vector<uint8_t> &out, const BlockTransition *batch,
+                  size_t n)
+{
+    std::vector<uint8_t> chunk;
+    encodeWireChunk(chunk, batch, n);
+    appendFrame(out, MsgType::RecordChunk, chunk);
+}
+
+} // namespace
+
 uint32_t
 RetryPolicy::delayMs(uint32_t attempt, Xorshift64Star &rng) const
 {
@@ -193,13 +214,23 @@ TeaClient::replay(const std::string &name, const uint8_t *log,
     // with no log bytes wasted on the wire.
     expect(MsgType::ReplayOk);
 
-    for (size_t off = 0; off < len; off += Wire::kReplayChunk) {
+    // Frame the chunks straight from the caller's log into one send
+    // buffer, flushed at kSendBatch; REPLAY_END rides the last write.
+    // The largest batch is under kSendBatch plus one chunk frame, plus
+    // a few 9-byte frame headers and trailers.
+    std::vector<uint8_t> wire;
+    wire.reserve(std::min(len, kSendBatch + Wire::kReplayChunk) + 64);
+    for (size_t off = 0; off < len;) {
         size_t n = std::min(Wire::kReplayChunk, len - off);
-        PayloadWriter chunk;
-        chunk.raw(log + off, n);
-        sendFrame(MsgType::ReplayChunk, chunk);
+        appendFrame(wire, MsgType::ReplayChunk, log + off, n);
+        off += n;
+        if (wire.size() >= kSendBatch && off < len) {
+            sock.sendAll(wire.data(), wire.size());
+            wire.clear();
+        }
     }
-    sendFrame(MsgType::ReplayEnd, PayloadWriter{});
+    appendFrame(wire, MsgType::ReplayEnd, nullptr, 0);
+    sock.sendAll(wire.data(), wire.size());
 
     Frame result = expect(MsgType::ReplayResult);
     PayloadReader r(result.payload);
@@ -234,17 +265,21 @@ TeaClient::recordBegin(const std::string &name, RemoteRecordOptions opt)
 void
 TeaClient::recordChunk(const BlockTransition *batch, size_t n)
 {
-    std::vector<uint8_t> bytes;
-    encodeWireChunk(bytes, batch, n);
-    PayloadWriter chunk;
-    chunk.raw(bytes.data(), bytes.size());
-    sendFrame(MsgType::RecordChunk, chunk);
+    std::vector<uint8_t> wire;
+    appendRecordChunk(wire, batch, n);
+    sock.sendAll(wire.data(), wire.size());
 }
 
 RemoteRecordResult
 TeaClient::recordEnd()
 {
     sendFrame(MsgType::RecordEnd, PayloadWriter{});
+    return recordResult();
+}
+
+RemoteRecordResult
+TeaClient::recordResult()
+{
     Frame result = expect(MsgType::RecordResult);
     PayloadReader r(result.payload);
     RemoteRecordResult out;
@@ -264,13 +299,21 @@ TeaClient::record(const std::string &name,
 {
     recordBegin(name, opt);
     // A chunk carries a record count, so split on count: a writer-sized
-    // chunk encodes far below the frame cap.
-    for (size_t off = 0; off < trs.size();
-         off += TraceLogFormat::kChunkRecords)
-        recordChunk(trs.data() + off,
-                    std::min<size_t>(TraceLogFormat::kChunkRecords,
-                                     trs.size() - off));
-    return recordEnd();
+    // chunk encodes far below the frame cap. Each chunk but the last
+    // goes out on its own, so the server decodes one while the next is
+    // encoded here; the last stays in `wire` for RECORD_END to join.
+    constexpr size_t kStep = TraceLogFormat::kChunkRecords;
+    std::vector<uint8_t> wire;
+    for (size_t off = 0; off < trs.size(); off += kStep) {
+        wire.clear();
+        appendRecordChunk(wire, trs.data() + off,
+                          std::min(kStep, trs.size() - off));
+        if (off + kStep < trs.size())
+            sock.sendAll(wire.data(), wire.size());
+    }
+    appendFrame(wire, MsgType::RecordEnd, nullptr, 0);
+    sock.sendAll(wire.data(), wire.size());
+    return recordResult();
 }
 
 HttpReply

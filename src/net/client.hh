@@ -4,7 +4,13 @@
  *
  * A thin, blocking, single-connection client: connect() performs the
  * versioned HELLO handshake, then each method is one request/response
- * exchange (replay() is one request of many frames). Server-reported
+ * exchange (replay() is one request of many frames). The socket runs
+ * with Nagle off (TCP_NODELAY, net/socket.hh), so the client batches
+ * its own writes: replay() frames its REPLAY_CHUNKs straight from the
+ * caller's log into one buffer, written at every 1 MiB, and
+ * REPLAY_END rides the last write; record() sends RECORD_END in the
+ * write of its last chunk. The bytes are the same as one write per
+ * frame. Server-reported
  * request failures and protocol violations surface as FatalError; a
  * server that answers the handshake with BUSY (admission queue full)
  * throws the ServerBusy subclass — carrying the server's queue depth
@@ -172,7 +178,10 @@ class TeaClient
     std::string stats(bool text = false);
 
     /**
-     * Stream a trace log and replay it remotely.
+     * Stream a trace log and replay it remotely: REPLAY_BEGIN, wait
+     * for REPLAY_OK (an unknown name fails before any log bytes go
+     * out), then the REPLAY_CHUNKs and REPLAY_END in writes of about
+     * 1 MiB, the END in the last one.
      * @throws FatalError when the server rejects the stream (unknown
      *         name, corrupt log) or the connection breaks
      */
@@ -190,7 +199,9 @@ class TeaClient
     /**
      * Record a whole transition sequence remotely in one call:
      * RECORD_BEGIN, the transitions in RECORD_CHUNK frames of one v2
-     * delta chunk each (encodeWireChunk), RECORD_END.
+     * delta chunk each (encodeWireChunk), RECORD_END. Each chunk but
+     * the last has its own write, so the server decodes one while the
+     * next is encoded; RECORD_END shares the last chunk's write.
      * The server grows (and hot-swaps) the automaton under `name` as
      * the stream arrives; afterwards the name replays like any PUT one.
      * @throws FatalError when the server rejects the recording (name
@@ -237,6 +248,8 @@ class TeaClient
     explicit TeaClient(FaultySocket s) : sock(std::move(s)) {}
 
     void sendFrame(MsgType type, const PayloadWriter &w);
+    /** Read and decode the RECORD_RESULT that ends a recording. */
+    RemoteRecordResult recordResult();
     /** Blocking read of the next frame. @throws FatalError on EOF. */
     Frame recvFrame();
     /**

@@ -58,7 +58,7 @@ FrameDecoder::feed(const uint8_t *data, size_t len)
 }
 
 bool
-FrameDecoder::poll(Frame &out)
+FrameDecoder::poll(FrameView &out)
 {
     if (poisoned)
         fatal("frame decoder: stream already failed framing");
@@ -81,8 +81,20 @@ FrameDecoder::poll(Frame &out)
               want, got);
     }
     out.type = static_cast<MsgType>(p[4]);
-    out.payload.assign(p + 5, p + 4 + bodyLen);
+    out.payload = p + 5;
+    out.size = bodyLen - 1;
     head += total;
+    return true;
+}
+
+bool
+FrameDecoder::poll(Frame &out)
+{
+    FrameView v;
+    if (!poll(v))
+        return false;
+    out.type = v.type;
+    out.payload.assign(v.payload, v.payload + v.size);
     return true;
 }
 

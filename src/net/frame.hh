@@ -174,11 +174,24 @@ struct RecordFlags
     static constexpr uint8_t kChunksV2 = 1u << 0;
 };
 
-/** One decoded frame. */
+/** One decoded frame, owning a copy of its payload. */
 struct Frame
 {
     MsgType type;
     std::vector<uint8_t> payload;
+};
+
+/**
+ * One decoded frame, viewed in place in the FrameDecoder's buffer:
+ * `payload` stays valid until the next feed() on that decoder. Later
+ * poll() calls never move it, so several views from one feed() hold
+ * their bytes side by side.
+ */
+struct FrameView
+{
+    MsgType type;
+    const uint8_t *payload = nullptr;
+    size_t size = 0;
 };
 
 /** Append one encoded frame to `out`. @throws PanicError when oversize. */
@@ -199,16 +212,27 @@ appendFrame(std::vector<uint8_t> &out, MsgType type,
  * Malformed framing — zero or oversize length, CRC mismatch — throws
  * FatalError and poisons the decoder (every later poll() rethrows),
  * because nothing after a framing error can be trusted.
+ *
+ * There is one parser with two accessors: poll(FrameView &) hands out
+ * a view into the buffer (the server's Session copies a REPLAY_CHUNK
+ * once, straight into its stream log), and poll(Frame &) wraps it with
+ * an owning copy for callers that keep frames past the next feed()
+ * (TeaClient).
  */
 class FrameDecoder
 {
   public:
+    /** Append bytes. Invalidates every FrameView polled before it. */
     void feed(const uint8_t *data, size_t len);
 
     /**
-     * @return true and fill `out` when a complete frame is buffered
+     * @return true and point `out` into the buffer when a complete
+     *         frame is buffered; the view lives until the next feed()
      * @throws FatalError on malformed framing
      */
+    bool poll(FrameView &out);
+
+    /** poll(FrameView &), then copy the payload into `out`. */
     bool poll(Frame &out);
 
     /** True when no partial frame is buffered (a clean cut point). */
@@ -251,8 +275,13 @@ class PayloadWriter
 class PayloadReader
 {
   public:
+    PayloadReader(const uint8_t *payload, size_t size)
+        : data(payload), len(size)
+    {
+    }
+
     explicit PayloadReader(const std::vector<uint8_t> &payload)
-        : data(payload.data()), len(payload.size())
+        : PayloadReader(payload.data(), payload.size())
     {
     }
 

@@ -32,7 +32,7 @@ TeaServer::TeaServer(ServerConfig config)
       spans_(cfg.traceRing),
       pool(cfg.workers != 0
                ? cfg.workers
-               : std::max(1u, std::thread::hardware_concurrency()))
+               : std::max(1u, std::thread::hardware_concurrency() / 2))
 {
     if (cfg.maxQueue == 0)
         cfg.maxQueue = 1;

@@ -66,7 +66,9 @@ Session::consume(const uint8_t *data, size_t len,
         return false;
     decoder.feed(data, len);
     for (;;) {
-        Frame frame;
+        // A view into the decoder's buffer: no feed() happens until
+        // this call returns, so it stays valid through onFrame().
+        FrameView frame;
         uint64_t t0 = traced() ? obs::monotonicNanos() : 0;
         try {
             if (!decoder.poll(frame))
@@ -95,7 +97,7 @@ Session::consume(const uint8_t *data, size_t len,
 }
 
 bool
-Session::onFrame(const Frame &frame, std::vector<uint8_t> &out)
+Session::onFrame(const FrameView &frame, std::vector<uint8_t> &out)
 {
     // Protocol-order checks first: a frame the current state does not
     // admit is a violation, not a failed request.
@@ -140,7 +142,7 @@ Session::onFrame(const Frame &frame, std::vector<uint8_t> &out)
 
     if (frame.type == MsgType::Hello) {
         try {
-            PayloadReader r(frame.payload);
+            PayloadReader r(frame.payload, frame.size);
             uint32_t magic = r.u32();
             uint32_t version = r.u32();
             r.expectEnd();
@@ -162,7 +164,7 @@ Session::onFrame(const Frame &frame, std::vector<uint8_t> &out)
     // Oversized stream accumulation is a resource violation: close
     // rather than grow without bound.
     if (frame.type == MsgType::ReplayChunk &&
-        streamLog.size() + frame.payload.size() > maxLogBytes) {
+        streamLog.size() + frame.size > maxLogBytes) {
         replyError(out, true, "replay stream exceeds the size cap");
         return false;
     }
@@ -188,11 +190,11 @@ Session::onFrame(const Frame &frame, std::vector<uint8_t> &out)
 }
 
 void
-Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
+Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
 {
     switch (frame.type) {
     case MsgType::PutAutomaton: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         std::string name = r.str(Wire::kMaxName);
         if (name.empty())
             fatal("automaton name must not be empty");
@@ -214,7 +216,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::List: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         r.expectEnd();
         // The reply grew a residency marker per name (appended after
         // the name block, so pre-store clients simply ignore it):
@@ -247,7 +249,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::Evict: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         std::string name = r.str(Wire::kMaxName);
         r.expectEnd();
         // With a store, EVICT drops residency only — the .teac image
@@ -264,7 +266,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::Ping: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         r.expectEnd();
         PayloadWriter w;
         encodeStatus(w, statusFn ? statusFn() : ServerStatus{});
@@ -276,7 +278,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         // selects text; an empty payload or any other byte means JSON,
         // and extra bytes are ignored so the request can grow fields
         // without a version bump.
-        bool text = !frame.payload.empty() && frame.payload[0] == 1;
+        bool text = frame.size != 0 && frame.payload[0] == 1;
         std::string report =
             statsFn ? statsFn(text) : std::string(text ? "" : "{}");
         PayloadWriter w;
@@ -286,7 +288,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::ReplayBegin: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         std::string name = r.str(Wire::kMaxName);
         uint8_t flags = r.u8();
         r.expectEnd();
@@ -333,11 +335,12 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         return;
     }
     case MsgType::ReplayChunk:
-        streamLog.insert(streamLog.end(), frame.payload.begin(),
-                         frame.payload.end());
+        // The chunk's one copy: decoder buffer to stream log.
+        streamLog.insert(streamLog.end(), frame.payload,
+                         frame.payload + frame.size);
         return;
     case MsgType::ReplayEnd: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         r.expectEnd();
         ++replays;
         if (ob.replays != nullptr)
@@ -384,7 +387,7 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
     case MsgType::RecordBegin: {
         if (recSvc == nullptr)
             fatal("recording is not enabled on this server");
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         std::string name = r.str(Wire::kMaxName);
         // Bit 0 (v2 delta chunks) is mandatory; other bits are ignored
         // (versionless growth). Checked before begin() so a refused
@@ -422,15 +425,15 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
         // record discards the batch atomically instead of leaving the
         // automaton grown by half a chunk.
         if (ob.recWireBytes != nullptr)
-            ob.recWireBytes->inc(frame.payload.size());
+            ob.recWireBytes->inc(frame.size);
         // One framed v2 delta chunk (CRC-checked, batch-decoded).
         std::vector<BlockTransition> batch =
-            decodeWireChunk(frame.payload.data(), frame.payload.size());
+            decodeWireChunk(frame.payload, frame.size);
         recSession->feedBatch(batch.data(), batch.size());
         return;
     }
     case MsgType::RecordEnd: {
-        PayloadReader r(frame.payload);
+        PayloadReader r(frame.payload, frame.size);
         r.expectEnd();
         rec::RecordingResultSummary summary = recSession->finish();
         ReplayStats st = recSession->stats();

@@ -189,8 +189,8 @@ class Session
   private:
     enum class State { ExpectHello, Ready, Streaming, Recording, Closed };
 
-    bool onFrame(const Frame &frame, std::vector<uint8_t> &out);
-    void handleRequest(const Frame &frame, std::vector<uint8_t> &out);
+    bool onFrame(const FrameView &frame, std::vector<uint8_t> &out);
+    void handleRequest(const FrameView &frame, std::vector<uint8_t> &out);
     void reply(std::vector<uint8_t> &out, MsgType type,
                const PayloadWriter &w);
     void replyError(std::vector<uint8_t> &out, bool fatal,

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -82,6 +83,19 @@ resolveTcp(const Endpoint &ep, bool forBind)
     return res;
 }
 
+/**
+ * Turn Nagle off on a TCP socket. Every request and reply here ends in
+ * a small frame (REPLAY_END, an ERROR, a result); with Nagle on, that
+ * tail waits for the peer's delayed ACK, ~40 ms on Linux. Best effort:
+ * a socket that refuses the option still works, only slower.
+ */
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 sockaddr_un
 unixAddr(const Endpoint &ep)
 {
@@ -143,6 +157,7 @@ Socket::connectTo(const Endpoint &ep)
     ::freeaddrinfo(res);
     if (fd < 0)
         fatal("connect '%s': %s", ep.str().c_str(), std::strerror(err));
+    setNoDelay(fd);
     return Socket(fd);
 }
 
@@ -334,6 +349,8 @@ Listener::acceptNb(Socket &out)
     for (;;) {
         int cfd = ::accept(fd_, nullptr, nullptr);
         if (cfd >= 0) {
+            if (local_.kind == Endpoint::Kind::Tcp)
+                setNoDelay(cfd);
             out = Socket(cfd);
             res.n = 1;
             return res;

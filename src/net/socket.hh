@@ -9,6 +9,12 @@
  *                       read it back from Listener::local())
  *   unix:<path>         a Unix-domain stream socket
  *
+ * TCP sockets run with Nagle off: Socket::connectTo and
+ * Listener::acceptNb set TCP_NODELAY. Every request and reply ends in
+ * a small frame, and with Nagle on that tail waits for the peer's
+ * delayed ACK (~40 ms). Callers batch their own writes instead (see
+ * TeaClient). Unix-domain sockets have no such option.
+ *
  * Two I/O surfaces share the fd:
  *
  * - the blocking calls (recvSome/sendAll) used by the client; errors
@@ -64,7 +70,10 @@ class Socket
     Socket(const Socket &) = delete;
     Socket &operator=(const Socket &) = delete;
 
-    /** Dial an endpoint. @throws FatalError when the connect fails. */
+    /**
+     * Dial an endpoint; a TCP socket comes back with TCP_NODELAY set.
+     * @throws FatalError when the connect fails.
+     */
     static Socket connectTo(const Endpoint &ep);
 
     bool valid() const { return fd_ >= 0; }
@@ -141,6 +150,7 @@ class Listener
      * or `wouldBlock` (the backlog is drained — wait for the next
      * readiness event). Transient per-connection errors (ECONNABORTED
      * and kin) come back as wouldBlock so the loop simply moves on.
+     * On a `tcp:` listener the accepted socket has TCP_NODELAY set.
      */
     Socket::IoResult acceptNb(Socket &out);
 

@@ -13,6 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "dbt/runtime.hh"
@@ -90,6 +93,52 @@ TEST(Endpoint, ParsesTcpAndUnix)
     EXPECT_THROW(Endpoint::parse("tcp:h:-1"), FatalError);
     EXPECT_THROW(Endpoint::parse("unix:"), FatalError);
     EXPECT_THROW(Endpoint::parse(""), FatalError);
+}
+
+// ---------------------------------------------------------------- sockets
+
+/** TCP_NODELAY as getsockopt reads it back; -1 when the read fails. */
+int
+noDelay(const Socket &s)
+{
+    int on = 0;
+    socklen_t len = sizeof(on);
+    if (::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &on, &len) != 0)
+        return -1;
+    return on;
+}
+
+TEST(Socket, TcpTurnsNagleOffOnBothEnds)
+{
+    // Every request and reply ends in a small frame; with Nagle on,
+    // that tail waits for the peer's delayed ACK. The dialing and the
+    // accepting end must both turn it off.
+    Listener l = Listener::open(Endpoint::parse("tcp:127.0.0.1:0"));
+    Socket client = Socket::connectTo(l.local());
+    // The listener is still blocking and the connect has completed, so
+    // this accept returns the connection at once.
+    Socket server;
+    ASSERT_EQ(l.acceptNb(server).n, 1u);
+    EXPECT_GT(noDelay(client), 0);
+    EXPECT_GT(noDelay(server), 0);
+}
+
+TEST(Socket, UnixEndpointsStillConnectAndAccept)
+{
+    std::string ep =
+        "unix:/tmp/tead-sock-" + std::to_string(::getpid()) + ".sock";
+    Listener l = Listener::open(Endpoint::parse(ep));
+    Socket client = Socket::connectTo(l.local());
+    Socket server;
+    ASSERT_EQ(l.acceptNb(server).n, 1u);
+    // No TCP option is set on a Unix-domain socket.
+    EXPECT_LE(noDelay(client), 0);
+    EXPECT_LE(noDelay(server), 0);
+    const uint8_t ping = 0x5a;
+    client.sendAll(&ping, 1);
+    uint8_t got = 0;
+    ASSERT_EQ(server.recvSome(&got, 1), 1u);
+    EXPECT_EQ(got, ping);
 }
 
 TEST(Frame, RoundTripsThroughDecoder)

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dbt/runtime.hh"
 #include "net/frame.hh"
 #include "net/session.hh"
@@ -198,6 +200,111 @@ TEST_P(CorruptWire, DecoderRejectsCorruptFramesAsFatal)
             // expected: bad length, or CRC mismatch
         }
     }
+}
+
+/**
+ * Feed `wire` to a fresh decoder one byte at a time and drain it after
+ * every byte, through the view accessor (`views`) or the owning one.
+ * @param threwAt set to the number of bytes fed when poll() threw, or
+ *        to SIZE_MAX when it never did
+ * @return the frames decoded before that
+ */
+std::vector<Frame>
+drainByteWise(const std::vector<uint8_t> &wire, bool views,
+              size_t &threwAt)
+{
+    FrameDecoder dec;
+    std::vector<Frame> got;
+    threwAt = SIZE_MAX;
+    for (size_t i = 0; i < wire.size(); ++i) {
+        dec.feed(&wire[i], 1);
+        try {
+            if (views) {
+                FrameView v;
+                while (dec.poll(v))
+                    got.push_back(Frame{
+                        v.type, std::vector<uint8_t>(
+                                    v.payload, v.payload + v.size)});
+            } else {
+                Frame f;
+                while (dec.poll(f))
+                    got.push_back(f);
+            }
+        } catch (const FatalError &) {
+            threwAt = i + 1;
+            break;
+        }
+    }
+    return got;
+}
+
+TEST(NetFuzz, ViewsFromOneFeedHoldTheirBytesSideBySide)
+{
+    // Two frames in one feed(): polling the second must not move the
+    // first view's bytes — the contract is "valid until the next feed".
+    std::vector<uint8_t> a(5000, 0xa1);
+    std::vector<uint8_t> b(300, 0xb2);
+    std::vector<uint8_t> wire;
+    appendFrame(wire, MsgType::ReplayChunk, a);
+    appendFrame(wire, MsgType::ReplayChunk, b);
+
+    FrameDecoder dec;
+    dec.feed(wire.data(), wire.size());
+    FrameView first;
+    FrameView second;
+    ASSERT_TRUE(dec.poll(first));
+    ASSERT_TRUE(dec.poll(second));
+    EXPECT_EQ(first.type, MsgType::ReplayChunk);
+    EXPECT_EQ(std::vector<uint8_t>(first.payload,
+                                   first.payload + first.size),
+              a);
+    EXPECT_EQ(std::vector<uint8_t>(second.payload,
+                                   second.payload + second.size),
+              b);
+    FrameView none;
+    EXPECT_FALSE(dec.poll(none));
+    EXPECT_TRUE(dec.atBoundary());
+}
+
+TEST_P(CorruptWire, BothAccessorsFailAtTheSameByte)
+{
+    // poll(Frame &) wraps poll(FrameView &): over a torn (truncated) or
+    // corrupted stream both must decode the same frames and throw after
+    // the same number of fed bytes.
+    std::vector<uint8_t> good;
+    PayloadWriter hello;
+    hello.u32(Wire::kMagic);
+    hello.u32(Wire::kVersion);
+    appendFrame(good, MsgType::Hello, hello.out());
+    std::vector<uint8_t> chunk(700);
+    for (size_t i = 0; i < chunk.size(); ++i)
+        chunk[i] = static_cast<uint8_t>(i * 7);
+    appendFrame(good, MsgType::ReplayChunk, chunk);
+    appendFrame(good, MsgType::ReplayEnd, nullptr, 0);
+
+    Xorshift64Star rng(GetParam());
+    size_t threw = 0;
+    for (int round = 0; round < 200; ++round) {
+        auto bad = good;
+        if (round % 2 == 0) {
+            size_t pos = rng.nextBelow(bad.size());
+            bad[pos] ^= static_cast<uint8_t>(1 + rng.nextBelow(255));
+        } else {
+            bad.resize(rng.nextBelow(bad.size()));
+        }
+        size_t atView = 0;
+        size_t atOwned = 0;
+        std::vector<Frame> viaView = drainByteWise(bad, true, atView);
+        std::vector<Frame> viaOwned = drainByteWise(bad, false, atOwned);
+        EXPECT_EQ(atView, atOwned) << "round " << round;
+        ASSERT_EQ(viaView.size(), viaOwned.size()) << "round " << round;
+        for (size_t i = 0; i < viaView.size(); ++i) {
+            EXPECT_EQ(viaView[i].type, viaOwned[i].type);
+            EXPECT_EQ(viaView[i].payload, viaOwned[i].payload);
+        }
+        threw += atView != SIZE_MAX ? 1 : 0;
+    }
+    EXPECT_GT(threw, 0u) << "no corrupted stream ever threw";
 }
 
 TEST_P(CorruptWire, RandomGarbageNeverPanics)

@@ -33,9 +33,10 @@
  *                                      per-chunk encodings, and
  *                                      compression ratio (--json;
  *                                      --teac F decodes elided logs)
- *   batch-replay --jobs N <tea> <log>...
+ *   batch-replay [--jobs N] <tea> <log>...
  *                                      replay many trace logs on a
- *                                      worker pool (svc)
+ *                                      worker pool (svc; N defaults
+ *                                      to the hardware threads)
  *   compile <tea>... --out DIR         precompile TEA files into
  *                                      relocatable .teac snapshots
  *                                      (store); names are the input
@@ -44,7 +45,9 @@
  *                                      snapshot's header, sections,
  *                                      and checksums (--json)
  *   serve --listen EP [name=tea]...    run the networked replay
- *                                      server (net) until SIGINT;
+ *                                      server (net) until SIGINT on
+ *                                      --jobs N workers (default:
+ *                                      half the hardware threads);
  *                                      --store DIR backs the registry
  *                                      with a .teac directory
  *                                      (mmap'd cold loads, LRU
@@ -138,7 +141,7 @@ struct Options
     std::string storeDir; ///< serve: disk-backed automaton store
     std::string flightDump; ///< serve: flight-recorder dump path
     std::vector<std::string> extraArgs; ///< positionals after the first
-    int jobs = 1;
+    int jobs = 0; ///< --jobs; 0 = the library default
     int maxQueue = 64;
     int maxSessions = 0;       ///< serve: live-connection cap (0 = off)
     int idleTimeoutMs = 0;     ///< serve: evict idle connections (0 = off)
@@ -219,7 +222,9 @@ usage()
         "  stats --connect EP [--json] [--watch N] [--history]\n"
         "  flight-dump --connect EP [--out FILE]\n"
         "<prog> is an assembly file or a workload name like syn.gzip\n"
-        "EP is tcp:<host>:<port> or unix:<path>\n",
+        "EP is tcp:<host>:<port> or unix:<path>\n"
+        "--jobs N defaults to half the hardware threads for serve and\n"
+        "to all of them for batch-replay\n",
         stderr);
     std::exit(2);
 }
@@ -1203,8 +1208,7 @@ cmdServe(const Options &opt)
             "teadbt serve %s workers=%zu max-queue=%d "
             "store=%s trace-ring=%d history-interval-ms=%u "
             "history-frames=%zu stats-span-limit=%zu",
-            opt.endpoint.c_str(), static_cast<size_t>(opt.jobs),
-            opt.maxQueue,
+            opt.endpoint.c_str(), server.workers(), opt.maxQueue,
             opt.storeDir.empty() ? "-" : opt.storeDir.c_str(),
             opt.traceRing, cfg.historyIntervalMs, cfg.historyFrames,
             cfg.statsSpanLimit));
