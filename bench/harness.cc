@@ -106,13 +106,12 @@ replayExperiment(const Workload &w, const Baseline &base,
 
 RunOutcome
 teaRecordExperiment(const Workload &w, const Baseline &base,
-                    const std::string &selector, LookupConfig lookup,
-                    SelectorConfig config)
+                    const std::string &selector, SelectorConfig config)
 {
     RunOutcome out;
     // Pin's own dynamic blocks: split at CPUID/REP, count per iteration.
     out.hostMillis = minWallMs([&] {
-        TeaRecorder recorder(makeSelector(selector, config), lookup);
+        TeaRecorder recorder(makeSelector(selector, config));
         Machine machine(w.program);
         BlockTracker tracker(
             w.program,

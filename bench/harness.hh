@@ -114,7 +114,6 @@ RunOutcome replayExperiment(const Workload &w, const Baseline &base,
  */
 RunOutcome teaRecordExperiment(const Workload &w, const Baseline &base,
                                const std::string &selector,
-                               LookupConfig lookup,
                                SelectorConfig config = {});
 
 /**

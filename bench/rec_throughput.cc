@@ -2,12 +2,20 @@
  * @file
  * Online recording throughput and the incremental-recompile payoff.
  *
- * Two measurements, matching the rec/ subsystem's two promises:
+ * Three measurements, matching the rec/ subsystem's promises:
  *
  *   ingest    —  transitions/sec through a RecordingSession doing the
  *                full online loop: Algorithm 2 growth, periodic
  *                incremental recompile, atomic registry hot-swap. This
  *                is the rate a live RECORD stream can sustain.
+ *   real      —  the same loop over a suite program's whole-run
+ *                stream at ref size (default syn.gcc, the stream
+ *                servebench's record probe sends): the bare
+ *                TeaRecorder and a RecordingSession fed 4096-transition
+ *                batches. Unlike the synthetic ingest stream, it
+ *                installs hundreds of traces into a growing automaton,
+ *                so it shows what an install costs as the automaton
+ *                grows.
  *   recompile —  one publish step at fleet scale: an automaton of N
  *                traces grows by a few, and the snapshot is rebuilt
  *                either from scratch (CompiledTea::compile) or through
@@ -16,12 +24,15 @@
  *                track the *growth*, not the automaton size.
  *
  * Asserts bit identity between the delta and full images so the fast
- * path cannot win by publishing different bytes. --min-ratio X turns
- * the comparison into a CI gate (perf-smoke pins it at 3 with
- * --traces 400, growth well under the churn ceiling), and --json
- * dumps everything machine-readably.
+ * path cannot win by publishing different bytes, and between the
+ * session's and the bare recorder's automata on the real stream.
+ * --min-ratio X turns the recompile comparison into a CI gate
+ * (perf-smoke pins it at 3 with --traces 2000, growth well under the
+ * churn ceiling), and --json dumps everything machine-readably. Every
+ * time is the minimum over 5 runs.
  *
- * Usage: rec_throughput [--traces N] [--json FILE] [--min-ratio X]
+ * Usage: rec_throughput [--traces N] [--workload NAME|all]
+ *                       [--json FILE] [--min-ratio X]
  */
 
 #include <cstdio>
@@ -35,9 +46,14 @@
 #include "svc/registry.hh"
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
+#include "tea/recorder.hh"
+#include "tea/serialize.hh"
+#include "trace/factory.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
+#include "vm/machine.hh"
+#include "workloads/workload.hh"
 
 using namespace tea;
 
@@ -92,6 +108,89 @@ appendRegionStream(std::vector<BlockTransition> &out, size_t region,
     return out.size() - before;
 }
 
+/** Every time below is the best of this many runs. */
+constexpr int kReps = 5;
+
+/** One suite program's whole-run recording, best of kReps. */
+struct RealStreamRow
+{
+    std::string workload;
+    size_t transitions = 0;
+    size_t traces = 0;
+    uint64_t installs = 0;
+    uint64_t swaps = 0;
+    double recorderMs = 1e300; ///< bare TeaRecorder
+    double sessionMs = 1e300;  ///< RecordingSession, batched feed
+};
+
+/** A program's block transitions as servebench records and streams
+ *  them: REP counted once, no splitting at CPUID/REP. */
+std::vector<BlockTransition>
+programStream(const Program &prog)
+{
+    std::vector<BlockTransition> stream;
+    Machine m(prog);
+    BlockTracker tracker(
+        prog, [&](const BlockTransition &tr) { stream.push_back(tr); },
+        /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+    m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); },
+                /*split_at_special=*/false);
+    return stream;
+}
+
+/**
+ * Record `name`'s ref-size stream with the mret selector, alternating
+ * the bare recorder and a session in every rep. @return false (after
+ * printing why) when the two grow different automata.
+ */
+bool
+measureRealStream(const std::string &name, RealStreamRow &row)
+{
+    constexpr size_t kBatch = 4096; // one RECORD_CHUNK's worth
+    std::vector<BlockTransition> stream =
+        programStream(Workloads::build(name, InputSize::Ref).program);
+    row.workload = name;
+    row.transitions = stream.size();
+    std::vector<uint8_t> recorderTea, sessionTea;
+    for (int rep = 0; rep < kReps; ++rep) {
+        {
+            Stopwatch timer;
+            TeaRecorder recorder(makeSelector("mret"));
+            for (const BlockTransition &tr : stream)
+                recorder.feed(tr);
+            row.recorderMs = std::min(row.recorderMs, timer.elapsedMillis());
+            row.traces = recorder.traces().size();
+            row.installs = recorder.installs();
+            recorderTea = saveTea(recorder.tea());
+        }
+        {
+            AutomatonRegistry registry;
+            Stopwatch timer;
+            rec::RecordingSession session(name, registry, nullptr,
+                                          rec::RecordingConfig{});
+            for (size_t i = 0; i < stream.size(); i += kBatch)
+                session.feedBatch(stream.data() + i,
+                                  std::min(kBatch, stream.size() - i));
+            rec::RecordingResultSummary sum = session.finish();
+            row.sessionMs = std::min(row.sessionMs, timer.elapsedMillis());
+            row.swaps = sum.swaps;
+            sessionTea = saveTea(session.tea());
+        }
+    }
+    if (sessionTea != recorderTea) {
+        std::fprintf(stderr, "FAIL: %s: session and recorder grew "
+                     "different automata\n", name.c_str());
+        return false;
+    }
+    return true;
+}
+
+double
+mtransPerSec(size_t transitions, double ms)
+{
+    return ms > 0 ? static_cast<double>(transitions) / ms / 1e3 : 0.0;
+}
+
 } // namespace
 
 int
@@ -100,6 +199,7 @@ main(int argc, char **argv)
     size_t traces = 400;
     std::string json_path;
     double min_ratio = 0.0;
+    std::string workload = "syn.gcc";
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--traces") && i + 1 < argc)
             traces = static_cast<size_t>(std::atoi(argv[i + 1]));
@@ -107,6 +207,8 @@ main(int argc, char **argv)
             json_path = argv[i + 1];
         else if (!std::strcmp(argv[i], "--min-ratio") && i + 1 < argc)
             min_ratio = std::atof(argv[i + 1]);
+        else if (!std::strcmp(argv[i], "--workload") && i + 1 < argc)
+            workload = argv[i + 1];
     }
     if (traces < 100)
         traces = 100; // the ratio below is only meaningful at scale
@@ -120,7 +222,6 @@ main(int argc, char **argv)
     for (size_t r = 0; r < kRegions; ++r)
         appendRegionStream(stream, r, 150);
 
-    constexpr int kReps = 5;
     double ingest_ms = 1e300;
     uint64_t swaps = 0;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -137,6 +238,18 @@ main(int argc, char **argv)
     }
     double per_sec =
         static_cast<double>(stream.size()) / (ingest_ms / 1e3);
+
+    // ------------------------------------------------ real-stream rows
+    std::vector<RealStreamRow> real;
+    std::vector<std::string> names = workload == "all"
+                                         ? Workloads::names()
+                                         : std::vector<std::string>{
+                                               workload};
+    for (const std::string &name : names) {
+        real.emplace_back();
+        if (!measureRealStream(name, real.back()))
+            return 1;
+    }
 
     // ------------------------------------------- recompile: full vs delta
     // An automaton of `traces` traces grows by 2%: the publish step a
@@ -190,6 +303,20 @@ main(int argc, char **argv)
     std::printf("session published %llu hot-swaps while ingesting\n",
                 static_cast<unsigned long long>(swaps));
 
+    std::printf("\nreal streams (ref size, mret, best of %d; session "
+                "fed 4096-transition batches):\n",
+                kReps);
+    TextTable realTable({"workload", "transitions", "installs",
+                         "recorder ms", "session ms", "session rate"});
+    for (const RealStreamRow &r : real)
+        realTable.addRow(
+            {r.workload, TextTable::num(static_cast<uint64_t>(r.transitions)),
+             TextTable::num(r.installs), TextTable::num(r.recorderMs, 2),
+             TextTable::num(r.sessionMs, 2),
+             TextTable::num(mtransPerSec(r.transitions, r.sessionMs), 2) +
+                 " M trans/s"});
+    std::fputs(realTable.render().c_str(), stdout);
+
     if (!json_path.empty()) {
         FILE *f = std::fopen(json_path.c_str(), "w");
         if (!f) {
@@ -208,7 +335,23 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"fullRecompileMs\": %.4f,\n", full_ms);
         std::fprintf(f, "  \"incrementalRecompileMs\": %.4f,\n",
                      delta_ms);
-        std::fprintf(f, "  \"incrementalSpeedup\": %.2f\n", ratio);
+        std::fprintf(f, "  \"incrementalSpeedup\": %.2f,\n", ratio);
+        std::fprintf(f, "  \"realStreams\": [\n");
+        for (size_t i = 0; i < real.size(); ++i) {
+            const RealStreamRow &r = real[i];
+            std::fprintf(
+                f,
+                "    {\"workload\": \"%s\", \"transitions\": %zu, "
+                "\"traces\": %zu, \"installs\": %llu, "
+                "\"recorderMs\": %.3f, \"sessionMs\": %.3f, "
+                "\"sessionMtransPerSec\": %.3f, \"swaps\": %llu}%s\n",
+                r.workload.c_str(), r.transitions, r.traces,
+                static_cast<unsigned long long>(r.installs), r.recorderMs,
+                r.sessionMs, mtransPerSec(r.transitions, r.sessionMs),
+                static_cast<unsigned long long>(r.swaps),
+                i + 1 < real.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]\n");
         std::fprintf(f, "}\n");
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());

@@ -36,8 +36,7 @@ main(int argc, char **argv)
 
         Baseline base = measureBaseline(w);
         RunOutcome dbt = dbtExperiment(w, base, "mret");
-        RunOutcome tea =
-            teaRecordExperiment(w, base, "mret", LookupConfig{});
+        RunOutcome tea = teaRecordExperiment(w, base, "mret");
 
         table.addRow({w.specName,
                       TextTable::pct(tea.coverage, 1),

@@ -409,9 +409,6 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
             if (!selector.empty())
                 rc.selector = std::move(selector);
         }
-        // Deliberately the default LookupConfig, not the server's
-        // replay lookup: the online recorder must be bit-identical to
-        // a default offline TeaRecorder over the same transitions.
         recSession = recSvc->begin(name, std::move(rc));
         state = State::Recording;
         // The ack byte stays for clients that check it: always 1.

@@ -17,7 +17,7 @@ RecordingSession::RecordingSession(std::string name,
                                    const RecMetrics *metrics_)
     : name_(std::move(name)), registry(registry_), store(store_),
       cfg(std::move(config)), metrics(metrics_),
-      recorder(makeSelector(cfg.selector), cfg.lookup)
+      recorder(makeSelector(cfg.selector))
 {
     // Store-name rules apply even without a store attached, so a
     // recording can always be persisted later.

@@ -60,9 +60,6 @@ struct RecordingConfig
     /** Trace-selection policy (trace/factory.hh names). */
     std::string selector = "mret";
 
-    /** Lookup configuration for the recorder's embedded replayer. */
-    LookupConfig lookup;
-
     /** Transitions fed between hot-swap attempts. */
     uint32_t swapInterval = 4096;
 

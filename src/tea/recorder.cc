@@ -4,35 +4,12 @@
 
 namespace tea {
 
-namespace {
-
-/** Merge b into a field-wise. */
-void
-accumulate(ReplayStats &a, const ReplayStats &b)
-{
-    a.blocks += b.blocks;
-    a.insnsTotal += b.insnsTotal;
-    a.insnsInTrace += b.insnsInTrace;
-    a.transitions += b.transitions;
-    a.intraTraceHits += b.intraTraceHits;
-    a.traceExits += b.traceExits;
-    a.exitsToCold += b.exitsToCold;
-    a.nteBlocks += b.nteBlocks;
-    a.localCacheHits += b.localCacheHits;
-    a.globalLookups += b.globalLookups;
-    a.globalHits += b.globalHits;
-}
-
-} // namespace
-
-TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel,
-                         LookupConfig config)
-    : selector(std::move(sel)), cfg(config)
+TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel)
+    : selector(std::move(sel))
 {
     TEA_ASSERT(selector != nullptr, "recorder needs a selector");
     // "Initial": InitializeTEA — an automaton with only the NTE state.
-    automaton = buildTea(traceSet);
-    replayer = std::make_unique<TeaReplayer>(automaton, cfg);
+    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{});
 }
 
 TeaRecorder::~TeaRecorder() = default;
@@ -41,7 +18,7 @@ ReplayStats
 TeaRecorder::stats() const
 {
     ReplayStats total = accumulated;
-    accumulate(total, replayer->stats());
+    total += replayer->stats();
     return total;
 }
 
@@ -51,19 +28,24 @@ TeaRecorder::install(RecordingResult result)
     if (result.kind == RecordingResult::Kind::Aborted)
         return;
 
-    if (result.kind == RecordingResult::Kind::NewTrace)
-        traceSet.add(std::move(result.trace));
-    else
+    // A new trace is appended to the live automaton: existing states
+    // keep their ids. A tree extension replaces a trace in place,
+    // which renumbers every later state, so it rebuilds.
+    if (result.kind == RecordingResult::Kind::NewTrace) {
+        TraceId id = traceSet.add(std::move(result.trace));
+        appendTrace(automaton, traceSet.at(id));
+    } else {
         traceSet.replace(result.extends, std::move(result.trace));
+        automaton = buildTea(traceSet);
+    }
     ++installCount;
 
-    // Rebuild the automaton and re-seat the replayer. State ids change,
-    // so reposition from the address about to execute: entering a trace
-    // is only possible at its entry (NTE transitions), so entryAt() is
-    // exactly the automaton's answer.
-    accumulate(accumulated, replayer->stats());
-    automaton = buildTea(traceSet);
-    replayer = std::make_unique<TeaReplayer>(automaton, cfg);
+    // Re-seat a cold replayer on the grown automaton. Reposition from
+    // the address about to execute: entering a trace is only possible
+    // at its entry (NTE transitions), so entryAt() is exactly the
+    // automaton's answer.
+    accumulated += replayer->stats();
+    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{});
     if (lastToStart != kNoAddr)
         replayer->setCurrentState(automaton.entryAt(lastToStart));
 }
@@ -71,28 +53,25 @@ TeaRecorder::install(RecordingResult result)
 void
 TeaRecorder::feed(const BlockTransition &tr)
 {
-    // Build the policy's view of where the automaton is *before* the
+    // The policy's view of where the automaton was *before* the
     // transition: the Current TBB of Algorithm 2.
     StateId pre = replayer->currentState();
+    uint64_t intraBefore = replayer->stats().intraTraceHits;
+
+    // ChangeState(TEA, Current, Next).
+    replayer->feed(tr);
+    lastToStart = tr.toStart;
+
     SelectorContext ctx{traceSet, pre != Tea::kNteState, 0, 0, false};
     if (ctx.inTrace) {
         const TeaState &s = automaton.state(pre);
         ctx.curTrace = s.trace;
         ctx.curTbb = s.tbb;
-        if (tr.toStart == kNoAddr) {
-            ctx.exitsTrace = true;
-        } else {
-            bool intra = false;
-            for (StateId t : s.succs)
-                if (automaton.state(t).start == tr.toStart)
-                    intra = true;
-            ctx.exitsTrace = !intra;
-        }
+        // The automaton is deterministic, so the step stayed inside the
+        // trace iff the replayer resolved it through pre's own
+        // successors; a halt (no next block) counts no hit.
+        ctx.exitsTrace = replayer->stats().intraTraceHits == intraBefore;
     }
-
-    // ChangeState(TEA, Current, Next).
-    replayer->feed(tr);
-    lastToStart = tr.toStart;
 
     switch (recState) {
       case RecState::Executing: {

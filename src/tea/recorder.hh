@@ -14,6 +14,11 @@
  * One deliberate refinement over the paper's pseudo-code: ChangeState
  * also runs while Creating, so the automaton position stays valid if a
  * recording aborts into already-hot code.
+ *
+ * Installing a new trace appends it to the live automaton
+ * (appendTrace(), Algorithm 1 for one trace), so recording costs time
+ * linear in the traces it installs; only a trace-tree extension, which
+ * renumbers states, rebuilds the automaton from the trace set.
  */
 
 #ifndef TEA_TEA_RECORDER_HH
@@ -33,12 +38,8 @@ namespace tea {
 class TeaRecorder
 {
   public:
-    /**
-     * @param selector the trace-selection policy (owned)
-     * @param config   lookup configuration for the embedded replayer
-     */
-    TeaRecorder(std::unique_ptr<TraceSelector> selector,
-                LookupConfig config = {});
+    /** @param selector the trace-selection policy (owned) */
+    explicit TeaRecorder(std::unique_ptr<TraceSelector> selector);
 
     ~TeaRecorder();
 
@@ -55,8 +56,8 @@ class TeaRecorder
     bool creating() const { return recState == RecState::Creating; }
 
     /**
-     * Counters accumulated over the whole run, including across TEA
-     * rebuilds (coverage here is the Table 3 "Recording" coverage).
+     * Counters accumulated over the whole run, including across trace
+     * installs (coverage here is the Table 3 "Recording" coverage).
      */
     ReplayStats stats() const;
 
@@ -69,12 +70,11 @@ class TeaRecorder
     void install(RecordingResult result);
 
     std::unique_ptr<TraceSelector> selector;
-    LookupConfig cfg;
     TraceSet traceSet;
     Tea automaton;
     std::unique_ptr<TeaReplayer> replayer;
     RecState recState = RecState::Executing;
-    ReplayStats accumulated; ///< stats from replayers retired by rebuilds
+    ReplayStats accumulated; ///< stats from replayers retired by installs
     Addr lastToStart = kNoAddr;
     uint64_t installCount = 0;
 };

@@ -211,8 +211,8 @@ class TeaReplayer
     void reset();
 
     /**
-     * Force the automaton position. Used by the online recorder after it
-     * rebuilds the TEA (state ids are not stable across rebuilds).
+     * Force the automaton position. Used by the online recorder to
+     * place the fresh replayer it seats after every trace install.
      */
     void setCurrentState(StateId id);
 

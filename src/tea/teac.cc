@@ -1,6 +1,8 @@
 #include "tea/teac.hh"
 
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <unistd.h>
@@ -371,9 +373,22 @@ saveTeacFile(const CompiledTea &compiled, const std::string &path)
     std::vector<uint8_t> bytes = compiled.serialize();
     // Write-then-rename so a concurrent reader (or a crash mid-write)
     // sees either the old image or the new one, never a torn file.
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    FILE *f = std::fopen(tmp.c_str(), "wb");
+    // Each write gets its own temp file (pid plus a process-wide
+    // sequence number, created exclusively), so two saves of one name
+    // never write into, or rename, each other's file. A name that
+    // already exists is a crashed save's leftover (a restarted server
+    // can reuse the pid) or another pid namespace's: skip to the next
+    // sequence number.
+    static std::atomic<uint64_t> writeSeq{0};
+    const std::string prefix =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+        ".";
+    std::string tmp;
+    FILE *f;
+    do {
+        tmp = prefix + std::to_string(writeSeq.fetch_add(1));
+        f = std::fopen(tmp.c_str(), "wbx"); // x: O_EXCL
+    } while (f == nullptr && errno == EEXIST);
     if (f == nullptr)
         fatal("cannot create '%s'", tmp.c_str());
     size_t put = std::fwrite(bytes.data(), 1, bytes.size(), f);

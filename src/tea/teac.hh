@@ -172,9 +172,11 @@ struct CompiledTeaView
 
 /**
  * Atomically write `compiled.serialize()` to `path`: the bytes land in
- * `path + ".tmp.<pid>"` first and are renamed into place, so a reader
- * (or a crash) never observes a torn image. @throws FatalError on I/O
- * failure.
+ * a temp file of their own, `path + ".tmp.<pid>.<seq>"` with `<seq>` a
+ * process-wide counter (a name left by a crashed save is skipped, not
+ * reused), and are renamed into place, so a reader (or a crash) never
+ * observes a torn image, and concurrent saves of one name in one
+ * process each land whole. @throws FatalError on I/O failure.
  */
 void saveTeacFile(const CompiledTea &compiled, const std::string &path);
 

@@ -1,6 +1,6 @@
 #include "trace/trace.hh"
 
-#include <map>
+#include <set>
 
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -65,16 +65,16 @@ Trace::validate() const
                   hex32(tbb.end).c_str(), hex32(tbb.start).c_str());
     }
     // Edges must reference valid blocks, and the automaton the trace
-    // implies must be deterministic: a (from, label) pair has at most one
-    // destination.
-    std::map<std::pair<uint32_t, Addr>, uint32_t> seen;
+    // implies must be deterministic: a (from, label) pair appears at
+    // most once. A repeated identical edge counts too, since the TEA
+    // state would get the same out-label twice.
+    std::set<std::pair<uint32_t, Addr>> seen;
     for (const Edge &e : edges) {
         if (e.from >= blocks.size() || e.to >= blocks.size())
             fatal("trace %u: edge (%u -> %u) out of range", id, e.from,
                   e.to);
         Addr label = blocks[e.to].start;
-        auto [it, inserted] = seen.insert({{e.from, label}, e.to});
-        if (!inserted && it->second != e.to)
+        if (!seen.insert({e.from, label}).second)
             fatal("trace %u: nondeterministic edges from TBB %u on %s", id,
                   e.from, hex32(label).c_str());
     }

@@ -88,7 +88,11 @@ struct Trace
     /** Successor TBB of from under label addr, or -1 when none. */
     int successorOn(uint32_t from, Addr label) const;
 
-    /** Validate indices and determinism; throws on corruption. */
+    /**
+     * Validate indices and determinism: no (from, label) pair twice,
+     * a repeated identical edge included. @throws FatalError on
+     * corruption.
+     */
     void validate() const;
 };
 

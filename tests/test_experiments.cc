@@ -80,8 +80,7 @@ TEST(Table3Invariants, OnlineRecordingTracksTheDbtSide)
         Workload w = Workloads::build(name, InputSize::Test);
         Baseline base = measureBaseline(w);
         RunOutcome dbt = dbtExperiment(w, base, "mret");
-        RunOutcome tea =
-            teaRecordExperiment(w, base, "mret", LookupConfig{});
+        RunOutcome tea = teaRecordExperiment(w, base, "mret");
         EXPECT_NEAR(tea.coverage, dbt.coverage, 0.1) << name;
         EXPECT_GT(tea.traces, 0u);
     }

@@ -6,6 +6,8 @@
  * CPUID/REP specials) goes through the full pipeline and must satisfy:
  *  - determinism of execution,
  *  - Algorithm 1 validity for every selector,
+ *  - the recorder's in-place growth equal to buildTea() after every
+ *    install,
  *  - the replay precise-map property (consistency checking on),
  *  - lookup-config equivalence,
  *  - TEA serialization round-tripping,
@@ -47,15 +49,26 @@ TEST_P(FuzzPipeline, EndToEnd)
     for (const std::string &selector : selectorNames()) {
         SCOPED_TRACE(selector);
 
-        // Record online under the Pin-analogue.
+        // Record online under the Pin-analogue. After every install
+        // the automaton grown in place must be exactly buildTea() over
+        // the traces recorded so far.
         TeaRecorder recorder(makeSelector(selector, sel_cfg));
+        uint64_t installs = 0, diverged = 0;
         Machine rec_machine(prog);
-        BlockTracker rec_tracker(
-            prog, [&](const BlockTransition &tr) { recorder.feed(tr); });
+        BlockTracker rec_tracker(prog, [&](const BlockTransition &tr) {
+            recorder.feed(tr);
+            if (recorder.installs() == installs)
+                return;
+            installs = recorder.installs();
+            if (saveTea(recorder.tea()) !=
+                saveTea(buildTea(recorder.traces())))
+                ++diverged;
+        });
         ASSERT_EQ(rec_machine.runHooked(
                       [&](const EdgeEvent &ev) { rec_tracker.onEdge(ev); },
                       /*split_at_special=*/true),
                   RunExit::Halted);
+        ASSERT_EQ(diverged, 0u) << "of " << installs << " installs";
         const TraceSet &traces = recorder.traces();
 
         // Algorithm 1 validity + serialization round trip.

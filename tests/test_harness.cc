@@ -51,8 +51,7 @@ TEST(Harness, ReplayAndRecordCoverageAgree)
     TraceSet traces = recordWithDbt(w, "mret");
     RunOutcome replay = replayExperiment(w, base, traces, LookupConfig{});
     RunOutcome dbt = dbtExperiment(w, base, "mret");
-    RunOutcome online =
-        teaRecordExperiment(w, base, "mret", LookupConfig{});
+    RunOutcome online = teaRecordExperiment(w, base, "mret");
 
     EXPECT_GT(replay.coverage, 0.5);
     EXPECT_GE(replay.coverage + 1e-9, dbt.coverage)

@@ -264,6 +264,116 @@ TEST(TeacRoundTrip, RehydratedTeaMatchesSource)
     }
 }
 
+/** The whole file at `path`, or empty when it cannot be opened. */
+std::vector<uint8_t>
+readWholeFile(const std::string &path)
+{
+    std::vector<uint8_t> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return bytes;
+    uint8_t buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        bytes.insert(bytes.end(), buf, buf + n);
+    std::fclose(f);
+    return bytes;
+}
+
+TEST(TeacFile, SameNameSavesNeverFailOrTear)
+{
+    // Two writers save different images to one name (two PUTs, or a
+    // PUT racing a recording's write-through) while a reader keeps
+    // reading it. Each save must land whole, and the reader must only
+    // ever see one image or the other.
+    std::string dir = freshDir("race");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/race.teac";
+    CompiledTea a(makeSyntheticTea(40));
+    CompiledTea b(makeSyntheticTea(90));
+    const std::vector<uint8_t> imageA = a.serialize();
+    const std::vector<uint8_t> imageB = b.serialize();
+    saveTeacFile(a, path);
+
+    constexpr int kSaves = 300;
+    std::atomic<int> writersLeft{2};
+    std::atomic<int> failedSaves{0};
+    auto writer = [&](const CompiledTea &image) {
+        for (int i = 0; i < kSaves; ++i) {
+            try {
+                saveTeacFile(image, path);
+            } catch (const FatalError &) {
+                failedSaves.fetch_add(1);
+            }
+        }
+        writersLeft.fetch_sub(1);
+    };
+
+    int reads = 0, torn = 0;
+    std::thread wa(writer, std::cref(a));
+    std::thread wb(writer, std::cref(b));
+    while (writersLeft.load() > 0) {
+        std::vector<uint8_t> seen = readWholeFile(path);
+        ++reads;
+        if (seen != imageA && seen != imageB)
+            ++torn;
+    }
+    wa.join();
+    wb.join();
+
+    EXPECT_EQ(failedSaves.load(), 0);
+    EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+    std::vector<uint8_t> last = readWholeFile(path);
+    EXPECT_TRUE(last == imageA || last == imageB);
+    // No temp file outlives its save.
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path(), std::filesystem::path(path));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TeacFile, SaveStepsOverTempFilesACrashLeftBehind)
+{
+    // A save that died between creating its temp file and renaming it
+    // leaves `<path>.tmp.<pid>.<seq>` behind, and a restarted server
+    // can run under the same pid and save in the same order. Plant
+    // such leftovers at the next sequence numbers this process draws:
+    // the save must step past them and leave them alone.
+    std::string dir = freshDir("stale");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/stale.teac";
+    CompiledTea image(makeSyntheticTea(40));
+    const std::string marker = ".tmp." + std::to_string(::getpid()) + ".";
+
+    // A save into a missing directory fails at the create and names
+    // the temp file it tried, which gives away the next number.
+    uint64_t next = 0;
+    try {
+        saveTeacFile(image, dir + "/missing/probe.teac");
+        FAIL() << "a save into a missing directory succeeded";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        size_t at = msg.find(marker);
+        ASSERT_NE(at, std::string::npos) << msg;
+        next = std::stoull(msg.substr(at + marker.size())) + 1;
+    }
+
+    const std::vector<uint8_t> stale = {'h', 'a', 'l', 'f'};
+    std::vector<std::string> leftovers;
+    for (uint64_t seq = next; seq < next + 8; ++seq) {
+        leftovers.push_back(path + marker + std::to_string(seq));
+        std::FILE *f = std::fopen(leftovers.back().c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(stale.data(), 1, stale.size(), f);
+        std::fclose(f);
+    }
+
+    EXPECT_NO_THROW(saveTeacFile(image, path));
+    EXPECT_EQ(readWholeFile(path), image.serialize());
+    for (const std::string &leftover : leftovers)
+        EXPECT_EQ(readWholeFile(leftover), stale) << leftover;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Store, PutGetEvictListRoundTrip)
 {
     std::string dir = freshDir("basic");

@@ -100,6 +100,14 @@ TEST(TraceModel, ValidateRejectsBadTraces)
     nondet.edges.push_back({0, 1});
     nondet.edges.push_back({0, 2});
     EXPECT_THROW(nondet.validate(), FatalError);
+
+    // A repeated identical edge gives the TEA state one out-label twice.
+    Trace repeated;
+    repeated.blocks.push_back({0x1000, 0x1004, false});
+    repeated.blocks.push_back({0x2000, 0x2004, false});
+    repeated.edges.push_back({0, 1});
+    repeated.edges.push_back({0, 1});
+    EXPECT_THROW(repeated.validate(), FatalError);
 }
 
 TEST(TraceModel, SuccessorOn)
