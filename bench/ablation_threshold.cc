@@ -50,7 +50,7 @@ main(int argc, char **argv)
                           TextTable::num(uint64_t{cell.tbbs}),
                           TextTable::pct(replay.coverage, 1),
                           TextTable::num(uint64_t{cell.dbtBytes}),
-                          TextTable::num(uint64_t{cell.teaBytes}),
+                          TextTable::num(uint64_t{cell.teaSerialBytes}),
                           TextTable::pct(cell.savings())});
         }
         std::printf("\n%s:\n%s", name, table.render().c_str());

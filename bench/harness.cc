@@ -73,7 +73,7 @@ memoryExperiment(const Workload &w, const std::string &selector,
     cell.tbbs = traces.totalBlocks();
     for (const TraceMemory &m : accountTraces(w.program, traces))
         cell.dbtBytes += m.total();
-    cell.teaBytes = buildTea(traces).serializedBytes();
+    cell.teaSerialBytes = buildTea(traces).serializedBytes();
     return cell;
 }
 

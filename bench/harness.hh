@@ -73,14 +73,14 @@ struct MemoryCell
     size_t traces = 0;
     size_t tbbs = 0;
     size_t dbtBytes = 0;
-    size_t teaBytes = 0;
+    size_t teaSerialBytes = 0;
 
     double
     savings() const
     {
         return dbtBytes == 0
                    ? 0.0
-                   : 1.0 - static_cast<double>(teaBytes) /
+                   : 1.0 - static_cast<double>(teaSerialBytes) /
                                static_cast<double>(dbtBytes);
     }
 };

@@ -1,13 +1,14 @@
 /**
  * @file
- * Online recording throughput and the incremental-recompile payoff.
+ * Online recording throughput.
  *
- * Three measurements, matching the rec/ subsystem's promises:
+ * Two measurements, matching the rec/ subsystem's promises:
  *
  *   ingest    —  transitions/sec through a RecordingSession doing the
- *                full online loop: Algorithm 2 growth, periodic
- *                incremental recompile, atomic registry hot-swap. This
- *                is the rate a live RECORD stream can sustain.
+ *                full online loop: Algorithm 2 growth, one compile per
+ *                install, atomic registry hot-swap of the recorder's
+ *                snapshot. This is the rate a live RECORD stream can
+ *                sustain.
  *   real      —  the same loop over a suite program's whole-run
  *                stream at ref size (default syn.gcc, the stream
  *                servebench's record probe sends): the bare
@@ -16,36 +17,22 @@
  *                installs hundreds of traces into a growing automaton,
  *                so it shows what an install costs as the automaton
  *                grows.
- *   recompile —  one publish step at fleet scale: an automaton of N
- *                traces grows by a few, and the snapshot is rebuilt
- *                either from scratch (CompiledTea::compile) or through
- *                the delta path (CompiledTea::recompile). The ratio is
- *                the whole point of the delta path: publish cost must
- *                track the *growth*, not the automaton size.
  *
- * Asserts bit identity between the delta and full images so the fast
- * path cannot win by publishing different bytes, and between the
- * session's and the bare recorder's automata on the real stream.
- * --min-ratio X turns the recompile comparison into a CI gate
- * (perf-smoke pins it at 3 with --traces 2000, growth well under the
- * churn ceiling), and --json dumps everything machine-readably. Every
- * time is the minimum over 5 runs.
+ * Asserts bit identity between the session's and the bare recorder's
+ * automata on the real stream; --json dumps everything
+ * machine-readably. Every time is the minimum over 5 runs.
  *
- * Usage: rec_throughput [--traces N] [--workload NAME|all]
- *                       [--json FILE] [--min-ratio X]
+ * Usage: rec_throughput [--workload NAME|all] [--json FILE]
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "rec/recording.hh"
 #include "svc/registry.hh"
-#include "tea/builder.hh"
-#include "tea/compiled.hh"
 #include "tea/recorder.hh"
 #include "tea/serialize.hh"
 #include "trace/factory.hh"
@@ -58,23 +45,6 @@
 using namespace tea;
 
 namespace {
-
-/** A synthetic automaton: `traces` two-block cyclic loops. */
-Tea
-makeSyntheticTea(size_t traces)
-{
-    TraceSet set;
-    for (size_t t = 0; t < traces; ++t) {
-        Trace trace;
-        Addr base = 0x1000 + static_cast<Addr>(t) * 64;
-        trace.blocks.push_back({base, base + 12, true});
-        trace.blocks.push_back({base + 16, base + 28, false});
-        trace.edges.push_back({0, 1});
-        trace.edges.push_back({1, 0});
-        set.add(std::move(trace));
-    }
-    return buildTea(set);
-}
 
 /**
  * A recording workload: per region, enter cold, ping-pong past the
@@ -196,26 +166,18 @@ mtransPerSec(size_t transitions, double ms)
 int
 main(int argc, char **argv)
 {
-    size_t traces = 400;
     std::string json_path;
-    double min_ratio = 0.0;
     std::string workload = "syn.gcc";
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--traces") && i + 1 < argc)
-            traces = static_cast<size_t>(std::atoi(argv[i + 1]));
-        else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
+        if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
             json_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--min-ratio") && i + 1 < argc)
-            min_ratio = std::atof(argv[i + 1]);
         else if (!std::strcmp(argv[i], "--workload") && i + 1 < argc)
             workload = argv[i + 1];
     }
-    if (traces < 100)
-        traces = 100; // the ratio below is only meaningful at scale
 
     // ------------------------------------------------ ingest throughput
     // One stream visiting 64 regions, hot enough that each installs a
-    // trace: the session pays growth, recompiles, and hot-swaps along
+    // trace: the session pays growth, compiles, and hot-swaps along
     // the way, exactly like a live RECORD stream.
     std::vector<BlockTransition> stream;
     constexpr size_t kRegions = 64;
@@ -251,54 +213,12 @@ main(int argc, char **argv)
             return 1;
     }
 
-    // ------------------------------------------- recompile: full vs delta
-    // An automaton of `traces` traces grows by 2%: the publish step a
-    // mid-recording swap pays once the automaton is already large.
-    size_t growth = traces / 50 != 0 ? traces / 50 : 1;
-    auto prevTea = std::make_shared<const Tea>(makeSyntheticTea(traces));
-    auto grownTea =
-        std::make_shared<const Tea>(makeSyntheticTea(traces + growth));
-    auto prev = CompiledTea::compile(prevTea);
-
-    double full_ms = 1e300, delta_ms = 1e300;
-    std::shared_ptr<const CompiledTea> full, delta;
-    for (int rep = 0; rep < kReps; ++rep) {
-        Stopwatch timer;
-        full = CompiledTea::compile(grownTea);
-        full_ms = std::min(full_ms, timer.elapsedMillis());
-    }
-    for (int rep = 0; rep < kReps; ++rep) {
-        CompiledTea::RecompileInfo info;
-        Stopwatch timer;
-        delta = CompiledTea::recompile(grownTea, prev,
-                                       /*appendOnly=*/true, 0.5, &info);
-        delta_ms = std::min(delta_ms, timer.elapsedMillis());
-        if (!info.incremental) {
-            std::fprintf(stderr, "FAIL: delta path fell back (%s)\n",
-                         info.fallbackReason ? info.fallbackReason
-                                             : "unknown");
-            return 1;
-        }
-    }
-
-    // Bit-identity guard: the fast path must publish the same bytes.
-    if (delta->serialize() != full->serialize()) {
-        std::fprintf(stderr,
-                     "FAIL: delta image diverged from full compile\n");
-        return 1;
-    }
-
-    double ratio = delta_ms > 0 ? full_ms / delta_ms : 0.0;
-
     std::printf("rec_throughput: %zu-transition stream over %zu "
-                "regions; recompile at %zu(+%zu) traces\n",
-                stream.size(), kRegions, traces, growth);
+                "regions\n",
+                stream.size(), kRegions);
     TextTable table({"measurement", "best ms", "rate"});
     table.addRow({"online ingest", TextTable::num(ingest_ms, 2),
                   TextTable::num(per_sec / 1e6, 2) + " M trans/s"});
-    table.addRow({"full recompile", TextTable::num(full_ms, 3), ""});
-    table.addRow({"incremental recompile", TextTable::num(delta_ms, 3),
-                  TextTable::num(ratio, 1) + "x faster"});
     std::fputs(table.render().c_str(), stdout);
     std::printf("session published %llu hot-swaps while ingesting\n",
                 static_cast<unsigned long long>(swaps));
@@ -330,12 +250,6 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"transitionsPerSec\": %.0f,\n", per_sec);
         std::fprintf(f, "  \"swaps\": %llu,\n",
                      static_cast<unsigned long long>(swaps));
-        std::fprintf(f, "  \"recompileTraces\": %zu,\n", traces);
-        std::fprintf(f, "  \"recompileGrowth\": %zu,\n", growth);
-        std::fprintf(f, "  \"fullRecompileMs\": %.4f,\n", full_ms);
-        std::fprintf(f, "  \"incrementalRecompileMs\": %.4f,\n",
-                     delta_ms);
-        std::fprintf(f, "  \"incrementalSpeedup\": %.2f,\n", ratio);
         std::fprintf(f, "  \"realStreams\": [\n");
         for (size_t i = 0; i < real.size(); ++i) {
             const RealStreamRow &r = real[i];
@@ -355,14 +269,6 @@ main(int argc, char **argv)
         std::fprintf(f, "}\n");
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    if (min_ratio > 0.0 && ratio < min_ratio) {
-        std::fprintf(stderr,
-                     "FAIL: incremental recompile only %.2fx faster "
-                     "than full (gate %.2fx)\n",
-                     ratio, min_ratio);
-        return 1;
     }
     return 0;
 }

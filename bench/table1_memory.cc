@@ -42,7 +42,7 @@ main(int argc, char **argv)
             row.push_back(TextTable::num(
                 static_cast<uint64_t>(cell.dbtBytes)));
             row.push_back(TextTable::num(
-                static_cast<uint64_t>(cell.teaBytes)));
+                static_cast<uint64_t>(cell.teaSerialBytes)));
             row.push_back(TextTable::pct(cell.savings()));
             savings[s].push_back(cell.savings());
         }

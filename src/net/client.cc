@@ -115,11 +115,11 @@ TeaClient::expect(MsgType want)
 
 void
 TeaClient::putAutomaton(const std::string &name,
-                        const std::vector<uint8_t> &teaBytes)
+                        const std::vector<uint8_t> &teaImage)
 {
     PayloadWriter w;
     w.str(name);
-    w.raw(teaBytes.data(), teaBytes.size());
+    w.raw(teaImage.data(), teaImage.size());
     sendFrame(MsgType::PutAutomaton, w);
     expect(MsgType::PutOk);
 }
@@ -359,8 +359,8 @@ replayWithRetry(const RemoteReplayJob &job, const RetryPolicy &policy,
             // not deterministically replay the same injected failure.
             TeaClient c = TeaClient::connect(job.endpoint, job.faults,
                                              job.faultSeed + attempt);
-            if (job.teaBytes != nullptr)
-                c.putAutomaton(job.name, *job.teaBytes);
+            if (job.teaImage != nullptr)
+                c.putAutomaton(job.name, *job.teaImage);
             RemoteReplayResult out =
                 c.replay(job.name, job.log, job.len, job.opt);
             if (attemptsOut != nullptr)

@@ -133,7 +133,7 @@ class TeaClient
 
     /** Upload a serialized TEA under `name` (replaces an older one). */
     void putAutomaton(const std::string &name,
-                      const std::vector<uint8_t> &teaBytes);
+                      const std::vector<uint8_t> &teaImage);
 
     /** Serialize and upload an automaton. */
     void putAutomaton(const std::string &name, const Tea &tea);
@@ -286,7 +286,7 @@ HttpReply httpGet(const std::string &endpoint, const std::string &target);
 /**
  * Everything one self-contained remote replay attempt needs, so a
  * retry can rebuild the conversation from scratch: dial `endpoint`,
- * re-upload `teaBytes` when set (the previous attempt may have died
+ * re-upload `teaImage` when set (the previous attempt may have died
  * before its PUT landed), then stream the log.
  */
 struct RemoteReplayJob
@@ -297,7 +297,7 @@ struct RemoteReplayJob
     size_t len = 0;
     RemoteReplayOptions opt;
     /** When set, PUT these bytes under `name` before each replay. */
-    const std::vector<uint8_t> *teaBytes = nullptr;
+    const std::vector<uint8_t> *teaImage = nullptr;
     /** Chaos-test fault injection; per-attempt seed = faultSeed + k. */
     FaultConfig faults;
     uint64_t faultSeed = 1;

@@ -4,22 +4,26 @@
  * readiness, nonblocking sockets, bounded write queues, and a timer
  * wheel.
  *
- * The loop thread owns every socket, all accept/read/write I/O, and
- * the whole connection lifecycle; the ThreadPool only ever runs
- * Session::consume() — the CPU work — and hands the result back
- * through a completion queue drained on a wakeup eventfd/pipe. An idle
- * or hostile connection therefore holds no thread. Session is a
- * socket-free byte-stream state machine, which is exactly the shape a
- * readiness loop schedules.
+ * The loop thread owns every socket, all accept and write I/O, every
+ * read that starts a consume task, and the whole connection lifecycle;
+ * the ThreadPool runs Session::consume() — the CPU work — and hands the
+ * result back through a completion queue drained on a wakeup
+ * eventfd/pipe. An idle or hostile connection therefore holds no
+ * thread. Session is a socket-free byte-stream state machine, which is
+ * exactly the shape a readiness loop schedules.
  *
- * Threading rules (the whole contract in four lines):
+ * Threading rules (the whole contract):
  *
  * - every Conn field is owned by the loop thread, EXCEPT while a
  *   consume task is in flight (`processing == true`), when the worker
  *   exclusively owns `session`, `rdbuf`, `replies`, and the task*
  *   result fields — the loop does not touch them until the completion
  *   is dequeued (the completion mutex orders the handoff both ways);
- * - the pool never touches a socket; the loop never runs a replay.
+ * - the pool touches a socket only to read on: a task dispatched with
+ *   no bytes queued for its peer reads more from its own socket while
+ *   its session owes no reply, so a streamed request is one task, not
+ *   one loop round trip per read; the loop does no I/O on that socket
+ *   until the completion. The loop never runs a replay.
  *
  * Robustness mechanics, all loop-local and lock-free:
  *

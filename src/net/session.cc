@@ -323,9 +323,10 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
         streamCfg.useLocalCache = (flags & ReplayFlags::kNoLocal) == 0;
         if ((flags & ReplayFlags::kReference) != 0) {
             streamCfg.useCompiled = false;
-            // The reference kernel walks the source Tea; a mapped
-            // image carries it only as an embedded blob, so rehydrate
-            // per-request — a diagnostic escape hatch, not a hot path.
+            // The reference kernel walks a Tea; a snapshot without one
+            // (a mapped image, a recording's publish) rebuilds it from
+            // its sections per request — a diagnostic escape hatch,
+            // not a hot path.
             if (!stream.tea && stream.compiled)
                 stream.tea = std::make_shared<const Tea>(
                     stream.compiled->rehydrateTea());

@@ -46,12 +46,21 @@ SpanRing::push(const Span &span)
 {
     uint64_t ticket = head.fetch_add(1, std::memory_order_relaxed);
     Slot &s = slots[ticket & mask];
-    // Per-slot seqlock keyed to the ticket: readers discard a slot
-    // whose sequence is odd or changed across the copy. Two writers a
-    // full ring apart can interleave on one slot; readers then see a
-    // sequence mismatch and skip it — one lost span, never a torn one
-    // presented as real.
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
+    // Per-slot seqlock keyed to the ticket. Two writers a full ring
+    // apart share a slot, so a writer first claims it: a compare-
+    // exchange from a stable (even) sequence older than its ticket to
+    // its own odd one. Only the claimer writes the fields and closes
+    // the slot; a writer that finds the slot held (odd) or already
+    // newer drops its span — one lost span, never a torn one.
+    uint64_t cur = s.seq.load(std::memory_order_relaxed);
+    do {
+        if ((cur & 1) != 0 || cur >= 2 * ticket + 2)
+            return;
+    } while (!s.seq.compare_exchange_weak(cur, 2 * ticket + 1,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed));
+    // The odd sequence is visible before any field store below.
+    std::atomic_thread_fence(std::memory_order_release);
     s.conn.store(span.conn, std::memory_order_relaxed);
     s.request.store(span.request, std::memory_order_relaxed);
     s.phase.store(static_cast<uint8_t>(span.phase),
@@ -82,7 +91,10 @@ SpanRing::snapshotInto(Span *out, size_t max) const
             s.phase.load(std::memory_order_relaxed));
         span.startNs = s.startNs.load(std::memory_order_relaxed);
         span.durNs = s.durNs.load(std::memory_order_relaxed);
-        if (s.seq.load(std::memory_order_acquire) != a)
+        // Order the field loads before the re-check: a field written
+        // by a later claimer implies that claimer's odd sequence here.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (s.seq.load(std::memory_order_relaxed) != a)
             continue;
         out[n++] = span;
     }

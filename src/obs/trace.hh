@@ -12,8 +12,11 @@
  * SpanRing keeps the most recent spans in a fixed, lock-free ring:
  *
  * - push() is a relaxed ticket fetch_add plus a per-slot seqlock
- *   (sequence odd while writing, even when stable); writers never
- *   block and never allocate, so the request path stays flat;
+ *   (sequence odd while writing, even when stable) that a writer
+ *   claims by compare-exchange, so only one writer ever fills a slot;
+ *   a writer that finds its slot held by another drops its span.
+ *   Writers never block and never allocate, so the request path
+ *   stays flat;
  * - recent() walks backwards from the newest ticket and drops any slot
  *   whose sequence moved mid-copy — a reader racing a wrap loses that
  *   one slot, never coherence. All slot fields are atomics, so the
@@ -72,7 +75,8 @@ class SpanRing
     /** @param capacity slots, rounded up to a power of two (min 8) */
     explicit SpanRing(size_t capacity = 1024);
 
-    /** Record a span; lock-free, overwrites the oldest on overflow. */
+    /** Record a span; lock-free, overwrites the oldest on overflow
+     *  (dropped when a writer a full ring behind still holds its slot). */
     void push(const Span &span);
 
     /**

@@ -67,9 +67,9 @@ RecordingSession::maybeSwap()
 {
     if (sinceSwap < cfg.swapInterval)
         return;
-    if (recorder.installs() == installsAtCompile) {
-        // Idle interval: nothing grew, nothing to publish. Reset so
-        // the next interval starts from here.
+    if (recorder.snapshot() == current_) {
+        // Idle interval: no install, so the recorder still walks the
+        // published snapshot. Reset so the next interval starts here.
         sinceSwap = 0;
         return;
     }
@@ -81,20 +81,9 @@ RecordingSession::swapNow()
 {
     auto t0 = std::chrono::steady_clock::now();
 
-    // The automaton grew append-only iff every install since the last
-    // publish added a trace: NewTrace grows traces() by one,
-    // ExtendTrace replaces one in place (reshuffling state ids).
-    bool appendOnly =
-        recorder.traces().size() - tracesAtCompile ==
-        recorder.installs() - installsAtCompile;
-
-    auto snapshot = std::make_shared<const Tea>(recorder.tea());
-    CompiledTea::RecompileInfo info;
-    auto next = CompiledTea::recompile(std::move(snapshot), current_,
-                                       appendOnly, cfg.maxChurn, &info);
-    current_ = std::move(next);
-    tracesAtCompile = recorder.traces().size();
-    installsAtCompile = recorder.installs();
+    // The recorder compiled this snapshot at its last install and
+    // never mutates it, so it is publishable as it stands.
+    current_ = recorder.snapshot();
     sinceSwap = 0;
 
     // Publish: new requests resolve the grown automaton; in-flight
@@ -106,13 +95,6 @@ RecordingSession::swapNow()
     ++swapCount;
 
     if (metrics != nullptr) {
-        if (!info.unchanged) {
-            obs::Counter *c = info.incremental
-                                  ? metrics->recompilesIncremental
-                                  : metrics->recompilesFull;
-            if (c != nullptr)
-                c->inc();
-        }
         if (metrics->swaps != nullptr)
             metrics->swaps->inc();
         if (metrics->swapMs != nullptr) {
@@ -129,10 +111,10 @@ RecordingSession::finish()
 {
     TEA_ASSERT(!finished_, "rec: finish called twice");
 
-    // Publish any unpublished growth; also compile at least once so a
-    // trace-free recording still leaves the name resolvable (an
+    // Publish any unpublished growth; a trace-free recording publishes
+    // the recorder's first snapshot, so the name still resolves (an
     // all-NTE automaton replays every stream as untraced).
-    if (current_ == nullptr || recorder.installs() != installsAtCompile)
+    if (recorder.snapshot() != current_)
         swapNow();
 
     if (store != nullptr)

@@ -9,9 +9,10 @@
  * behind a deliberately mutex-free single-writer API, accepts streamed
  * BlockTransition batches (the RECORD wire verb's chunks, or a local
  * driver), and periodically *publishes* the grown automaton — an
- * incremental recompile (tea/compiled.hh recompile()) followed by an
- * atomic registry hot-swap — so replay traffic sees the automaton
- * grow while the recording is still running.
+ * atomic registry hot-swap of the recorder's own compiled snapshot
+ * (TeaRecorder::snapshot(), compiled once per install) — so replay
+ * traffic sees the automaton grow while the recording is still
+ * running. A publish copies nothing and compiles nothing.
  *
  * Concurrency contract: exactly ONE thread drives feed()/finish() —
  * the net session's connection thread, or a bench loop. The session
@@ -25,10 +26,10 @@
  * transitions, and performed only if the recorder installed at least
  * one trace since the last published snapshot — an idle interval
  * publishes nothing. finish() publishes whatever growth is still
- * unpublished (compiling the automaton at least once, so even a
+ * unpublished (at least the recorder's first snapshot, so even a
  * trace-free recording leaves the name resolvable) and, when a store
- * is attached, writes the final `.teac` through the atomic tmp+rename
- * path. An *abandoned* session (destroyed unfinished — the chaos
+ * is attached, writes that same snapshot's `.teac` through the atomic
+ * tmp+rename path. An *abandoned* session (destroyed unfinished — the chaos
  * disconnect case) publishes nothing further: the last swapped
  * snapshot stays installed and any partial batch is discarded.
  */
@@ -62,12 +63,6 @@ struct RecordingConfig
 
     /** Transitions fed between hot-swap attempts. */
     uint32_t swapInterval = 4096;
-
-    /**
-     * Incremental-recompile churn ceiling (tea/compiled.hh): when the
-     * appended state fraction exceeds this, fall back to full compile.
-     */
-    double maxChurn = 0.5;
 };
 
 /**
@@ -80,11 +75,9 @@ struct RecMetrics
 {
     obs::Counter *sessions = nullptr;      ///< sessions ever begun
     obs::Counter *transitions = nullptr;   ///< transitions ingested
-    obs::Counter *recompilesFull = nullptr;
-    obs::Counter *recompilesIncremental = nullptr;
     obs::Counter *swaps = nullptr;         ///< snapshots published
     obs::Counter *aborted = nullptr;       ///< sessions abandoned
-    obs::Histogram *swapMs = nullptr;      ///< recompile+publish latency
+    obs::Histogram *swapMs = nullptr;      ///< registry swap latency
     /** Per-automaton ingest family (rec.transitions_by_automaton).
      *  Each session resolves its own series handle once at open. */
     obs::LabeledCounter *transitionsBy = nullptr;
@@ -151,8 +144,9 @@ class RecordingSession
 
     /**
      * The most recently published snapshot (null before the first
-     * swap). Exposed for tests; readers should resolve through the
-     * registry like any other traffic.
+     * swap): the recorder's own snapshot object at that point. Exposed
+     * for tests; readers should resolve through the registry like any
+     * other traffic.
      */
     const std::shared_ptr<const CompiledTea> &current() const
     {
@@ -165,7 +159,7 @@ class RecordingSession
     /** Swap if the interval elapsed and the automaton grew. */
     void maybeSwap();
 
-    /** Recompile (delta when possible) and publish unconditionally. */
+    /** Publish the recorder's current snapshot unconditionally. */
     void swapNow();
 
     std::string name_;
@@ -182,8 +176,6 @@ class RecordingSession
 
     uint64_t transitionCount = 0;
     uint64_t sinceSwap = 0;           ///< transitions since last publish
-    uint64_t tracesAtCompile = 0;     ///< traces() at last publish
-    uint64_t installsAtCompile = 0;   ///< installs() at last publish
     uint64_t swapCount = 0;
     bool finished_ = false;
 };

@@ -61,9 +61,6 @@ RecordingService::bindMetrics(obs::MetricsRegistry &metrics)
 {
     instruments.sessions = &metrics.counter("rec.sessions");
     instruments.transitions = &metrics.counter("rec.transitions");
-    instruments.recompilesFull = &metrics.counter("rec.recompiles_full");
-    instruments.recompilesIncremental =
-        &metrics.counter("rec.recompiles_incremental");
     instruments.swaps = &metrics.counter("rec.swaps");
     instruments.aborted = &metrics.counter("rec.aborted");
     instruments.swapMs = &metrics.histogram("rec.swap_ms");

@@ -65,9 +65,9 @@ class RecordingService
 
     /**
      * Register the `rec.*` instruments in `metrics` and start counting:
-     * rec.sessions, rec.transitions, rec.recompiles_{full,incremental},
-     * rec.swaps, rec.aborted, the rec.swap_ms histogram, and the
-     * rec.active callback gauge (see docs/OBSERVABILITY.md).
+     * rec.sessions, rec.transitions, rec.swaps, rec.aborted, the
+     * rec.swap_ms histogram, the rec.transitions_by_automaton family,
+     * and the rec.active callback gauge (see docs/OBSERVABILITY.md).
      */
     void bindMetrics(obs::MetricsRegistry &metrics);
 

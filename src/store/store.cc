@@ -96,7 +96,8 @@ AutomatonStore::get(const std::string &name)
         mmapLoads->inc();
     if (faultsBy)
         faultsBy->at(name).inc();
-    AutomatonSnapshot out = registry.putCompiled(name, compiled);
+    AutomatonSnapshot out =
+        registry.putCompiled(name, AutomatonSnapshot{nullptr, compiled});
     {
         std::lock_guard<std::mutex> lock(mu);
         insertLocked(name, compiled->footprintBytes());
@@ -115,9 +116,10 @@ AutomatonStore::put(const std::string &name,
 
     // Compile and write through before anything becomes visible: if
     // the disk write fails, neither tier changes.
-    auto compiled = CompiledTea::compile(std::move(tea));
+    auto compiled = CompiledTea::compile(tea);
     saveTeacFile(*compiled, pathFor(name));
-    AutomatonSnapshot out = registry.putCompiled(name, compiled);
+    AutomatonSnapshot out = registry.putCompiled(
+        name, AutomatonSnapshot{std::move(tea), compiled});
     {
         std::lock_guard<std::mutex> lock(mu);
         insertLocked(name, compiled->footprintBytes());

@@ -120,10 +120,10 @@ class AutomatonStore
      * Hot-swap the resident snapshot of `name` without touching disk:
      * an atomic registry replace plus budget re-accounting (the new
      * compiled footprint takes over the old charge and the name moves
-     * to MRU). The recording service calls this on every incremental
-     * swap; writeThrough() persists a swapped snapshot when it is
-     * worth a disk write. @return the displaced snapshot (empty when
-     * the name was new). @throws FatalError on invalid names
+     * to MRU). The recording service calls this on every publish;
+     * writeThrough() persists a swapped snapshot when it is worth a
+     * disk write. @return the displaced snapshot (empty when the name
+     * was new). @throws FatalError on invalid names
      */
     AutomatonSnapshot
     replaceResident(const std::string &name,
@@ -132,9 +132,9 @@ class AutomatonStore
     /**
      * Persist `compiled` as `<dir>/<name>.teac` through the atomic
      * tmp+rename path; readers (and crashes) see the old image or the
-     * new one, never a torn file. A blobless delta snapshot serializes
-     * as the canonical full image (tea/compiled.hh), so the bytes on
-     * disk stay bit-identical to an offline compile.
+     * new one, never a torn file. Every snapshot of one automaton
+     * serializes to the same bytes, so a recorder-grown image on disk
+     * is bit-identical to an offline compile.
      * @throws FatalError on invalid names or I/O failure
      */
     void writeThrough(const std::string &name, const CompiledTea &compiled);

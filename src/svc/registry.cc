@@ -26,18 +26,16 @@ AutomatonRegistry::put(const std::string &name, Tea tea)
     // Compile outside the shard lock: one flat image per put, shared
     // by every replay that later pins this name.
     auto compiled = CompiledTea::compile(snapshot);
-    Shard &shard = shardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map[name] = AutomatonSnapshot{snapshot, std::move(compiled)};
+    putCompiled(name, AutomatonSnapshot{snapshot, std::move(compiled)});
     return snapshot;
 }
 
 AutomatonSnapshot
 AutomatonRegistry::putCompiled(const std::string &name,
-                               std::shared_ptr<const CompiledTea> compiled)
+                               AutomatonSnapshot snap)
 {
-    TEA_ASSERT(compiled != nullptr, "registering a null compiled image");
-    AutomatonSnapshot snap{compiled->sourceTea(), std::move(compiled)};
+    TEA_ASSERT(snap.compiled != nullptr,
+               "registering a null compiled image");
     Shard &shard = shardFor(name);
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map[name] = snap;
@@ -49,7 +47,7 @@ AutomatonRegistry::replace(const std::string &name,
                            std::shared_ptr<const CompiledTea> compiled)
 {
     TEA_ASSERT(compiled != nullptr, "swapping in a null compiled image");
-    AutomatonSnapshot next{compiled->sourceTea(), std::move(compiled)};
+    AutomatonSnapshot next{nullptr, std::move(compiled)};
     Shard &shard = shardFor(name);
     std::lock_guard<std::mutex> lock(shard.mu);
     AutomatonSnapshot &slot = shard.map[name];

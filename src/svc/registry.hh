@@ -12,8 +12,9 @@
  * put() also compiles the snapshot into a CompiledTea exactly once, so
  * every replay against a registered automaton — svc batch jobs and net
  * sessions alike — shares one flat kernel image instead of each stream
- * re-walking (or re-flattening) the mutable Tea. The compiled snapshot
- * co-owns its source Tea, so the same eviction guarantee holds for it.
+ * re-walking (or re-flattening) the mutable Tea. Each name holds an
+ * AutomatonSnapshot pair, so the same eviction guarantee holds for
+ * both halves.
  *
  * The name map itself is sharded: each shard has its own mutex, so
  * concurrent lookups of different names do not serialize. Lock scope is
@@ -40,10 +41,11 @@ namespace tea {
  * A pinned (automaton, compiled image) pair, safe across eviction.
  *
  * `tea` may be null while `compiled` is set: automatons faulted in from
- * a persistent store (store/store.hh) are mapped `.teac` images that
- * never materialize a Tea. A CompiledTea is self-describing, so every
- * replay path except the reference kernel works from `compiled` alone;
- * the reference kernel rehydrates the embedded source on demand.
+ * a persistent store (store/store.hh) are mapped `.teac` images, and a
+ * recording publishes its recorder's compiled snapshot; neither
+ * materializes a Tea. A CompiledTea is self-describing, so every replay
+ * path except the reference kernel works from `compiled` alone; the
+ * reference kernel rehydrates the Tea on demand (rehydrateTea()).
  */
 struct AutomatonSnapshot
 {
@@ -67,22 +69,22 @@ class AutomatonRegistry
     std::shared_ptr<const Tea> put(const std::string &name, Tea tea);
 
     /**
-     * Install an already-compiled snapshot (a mapped `.teac` image, or
-     * a precompiled fleet member). The stored `tea` field is whatever
-     * source the image co-owns — typically null for mapped images.
+     * Install an already-compiled snapshot: a mapped `.teac` image
+     * (`snap.tea` null) or a compiled automaton with its Tea (the
+     * store's write-through PUT). `snap.compiled` must be set.
      * @return the stored snapshot
      */
     AutomatonSnapshot putCompiled(const std::string &name,
-                                  std::shared_ptr<const CompiledTea> compiled);
+                                  AutomatonSnapshot snap);
 
     /**
-     * Atomic hot-swap: install `compiled` under `name` and return the
-     * snapshot it displaced (empty when the name was new). The swap is
-     * one pointer assignment under the shard lock — a concurrent
-     * snapshot() observes either the old snapshot or the new one,
-     * never a mix — and replays that pinned the old snapshot keep it
-     * alive through their shared_ptr until they drain, exactly like
-     * eviction. This is the recording service's publish step: new
+     * Atomic hot-swap: install `compiled` (with no Tea) under `name`
+     * and return the snapshot it displaced (empty when the name was
+     * new). The swap is one pointer assignment under the shard lock —
+     * a concurrent snapshot() observes either the old snapshot or the
+     * new one, never a mix — and replays that pinned the old snapshot
+     * keep it alive through their shared_ptr until they drain, exactly
+     * like eviction. This is the recording service's publish step: new
      * requests resolve the grown automaton while in-flight replays
      * finish against the version they started with.
      */

@@ -1,9 +1,7 @@
 #include "tea/compiled.hh"
 
 #include <atomic>
-#include <cstring>
 
-#include "tea/serialize.hh"
 #include "tea/teac.hh"
 #include "util/logging.hh"
 #include "util/mmap.hh"
@@ -13,7 +11,6 @@ namespace tea {
 namespace {
 
 std::atomic<uint64_t> compileCounter{0};
-std::atomic<uint64_t> recompileCounter{0};
 
 /** Smallest power of two >= 2 * n (min 8): keeps the open-addressed
  *  table at most half full, so probe chains stay short. */
@@ -43,15 +40,10 @@ CompiledTea::CompiledTea(const Tea &tea)
     uint32_t cap = hashCapacity(nEntries_);
     hashMask = cap - 1;
 
-    std::vector<uint8_t> blob = saveTea(tea);
-    TEA_ASSERT(blob.size() <= 0xffffffffull, "source TEA blob overflow");
-    teaBlobLen_ = static_cast<uint32_t>(blob.size());
-
     // Build every section in place inside one arena laid out exactly as
     // the .teac payload, so serialize() is a verbatim copy and a mapped
     // image is indistinguishable from a fresh compile.
-    TeacLayout lay =
-        TeacLayout::compute(nStates, nSuccs_, nEntries_, cap, teaBlobLen_);
+    TeacLayout lay = TeacLayout::compute(nStates, nSuccs_, nEntries_, cap);
     arena.assign(lay.payloadBytes, 0);
     uint8_t *base = arena.data();
     auto *succOffset = reinterpret_cast<uint32_t *>(base + lay.offSuccOffset);
@@ -60,14 +52,19 @@ CompiledTea::CompiledTea(const Tea &tea)
     auto *stateMeta = reinterpret_cast<StateMeta *>(base + lay.offStateMeta);
     auto *hashSlots = reinterpret_cast<HashSlot *>(base + lay.offHashSlots);
     auto *entriesOut = reinterpret_cast<Entry *>(base + lay.offEntries);
+    auto *stateBlock =
+        reinterpret_cast<StateBlock *>(base + lay.offStateBlock);
 
     // SoA state metadata. NTE (slot 0) keeps kNoAddr / ~0u identity.
     stateStart[0] = kNoAddr;
     stateMeta[0] = StateMeta{~0u, ~0u};
+    stateBlock[0] = StateBlock{kNoAddr, 0};
     for (StateId id = 1; id < nStates; ++id) {
         const TeaState &st = tea.state(id);
         stateStart[id] = st.start;
         stateMeta[id] = StateMeta{st.trace, st.tbb};
+        stateBlock[id] =
+            StateBlock{st.end, st.loopHeader ? kLoopHeaderFlag : 0};
     }
 
     // CSR successor arrays, labels inlined. NTE's run is empty (its
@@ -97,8 +94,6 @@ CompiledTea::CompiledTea(const Tea &tea)
         hashSlots[slot] = HashSlot{addr, id};
     }
 
-    std::memcpy(base + lay.offTea, blob.data(), blob.size());
-
     payloadP = base;
     payloadLen = lay.payloadBytes;
     succOffsetP = succOffset;
@@ -107,153 +102,14 @@ CompiledTea::CompiledTea(const Tea &tea)
     stateMetaP = stateMeta;
     hashSlotsP = hashSlots;
     entriesP = entriesOut;
-    teaBlobP = base + lay.offTea;
+    stateBlockP = stateBlock;
 }
 
 std::shared_ptr<const CompiledTea>
 CompiledTea::compile(std::shared_ptr<const Tea> tea)
 {
     TEA_ASSERT(tea != nullptr, "compiling a null automaton snapshot");
-    auto compiled = std::make_shared<CompiledTea>(*tea);
-    compiled->source = std::move(tea);
-    return compiled;
-}
-
-std::shared_ptr<const CompiledTea>
-CompiledTea::recompile(std::shared_ptr<const Tea> tea,
-                       const std::shared_ptr<const CompiledTea> &prev,
-                       bool appendOnly, double maxChurn,
-                       RecompileInfo *info)
-{
-    TEA_ASSERT(tea != nullptr, "recompiling a null automaton snapshot");
-    RecompileInfo local;
-    RecompileInfo &out = info != nullptr ? *info : local;
-    out = RecompileInfo{};
-
-    uint32_t newN = static_cast<uint32_t>(tea->numStates());
-    const char *fallback = nullptr;
-    if (prev == nullptr)
-        fallback = "no previous snapshot";
-    else if (!appendOnly)
-        fallback = "non-append growth";
-    else if (newN < prev->nStates)
-        fallback = "automaton shrank";
-    else if (double(newN - prev->nStates) > maxChurn * double(newN))
-        fallback = "churn over threshold";
-    if (fallback != nullptr) {
-        out.fallbackReason = fallback;
-        return compile(std::move(tea));
-    }
-
-    uint32_t prevN = prev->nStates;
-    if (newN == prevN) {
-        // Append-only with no new states means no new trace: identical
-        // automaton, nothing to build.
-        out.incremental = true;
-        out.unchanged = true;
-        out.reusedStates = prevN;
-        return prev;
-    }
-
-    // Spot-check the append-only claim against the last reused state;
-    // the full differential lives in tests/test_rec.cc.
-    if (prevN > 1) {
-        const TeaState &last = tea->state(prevN - 1);
-        TEA_ASSERT(prev->stateStartP[prevN - 1] == last.start &&
-                       prev->stateMetaP[prevN - 1].trace == last.trace,
-                   "recompile: previous snapshot is not a prefix of the "
-                   "grown automaton");
-    }
-
-    recompileCounter.fetch_add(1, std::memory_order_relaxed);
-
-    uint32_t nEntries = static_cast<uint32_t>(tea->entries().size());
-    // The reused prefix pins its transition count; only appended states
-    // contribute new CSR records.
-    uint64_t succTotal = prev->nSuccs_;
-    for (StateId id = prevN; id < newN; ++id)
-        succTotal += tea->state(id).succs.size();
-    TEA_ASSERT(succTotal <= 0xffffffffull, "transition count overflow");
-    uint32_t nSuccs = static_cast<uint32_t>(succTotal);
-    uint32_t cap = hashCapacity(nEntries);
-
-    // Blobless arena (teaBytes = 0): the source .tea copy is the one
-    // section whose cost scales with the whole automaton, so deltas
-    // skip it and co-own the source instead; serialize() regenerates
-    // the canonical blob-bearing image on persist.
-    TeacLayout lay = TeacLayout::compute(newN, nSuccs, nEntries, cap, 0);
-    std::shared_ptr<CompiledTea> compiled(new CompiledTea());
-    CompiledTea &c = *compiled;
-    c.nStates = newN;
-    c.nSuccs_ = nSuccs;
-    c.nEntries_ = nEntries;
-    c.hashMask = cap - 1;
-    c.teaBlobLen_ = 0;
-    c.arena.assign(lay.payloadBytes, 0);
-    uint8_t *base = c.arena.data();
-    auto *succOffset = reinterpret_cast<uint32_t *>(base + lay.offSuccOffset);
-    auto *succsOut = reinterpret_cast<Succ *>(base + lay.offSuccs);
-    auto *stateStart = reinterpret_cast<Addr *>(base + lay.offStateStart);
-    auto *stateMeta = reinterpret_cast<StateMeta *>(base + lay.offStateMeta);
-    auto *hashSlots = reinterpret_cast<HashSlot *>(base + lay.offHashSlots);
-    auto *entriesOut = reinterpret_cast<Entry *>(base + lay.offEntries);
-
-    // Reused prefix: verbatim copies out of the previous arena (owned
-    // or mapped — the typed pointers read the same either way).
-    std::memcpy(succOffset, prev->succOffsetP,
-                (size_t(prevN) + 1) * sizeof(uint32_t));
-    std::memcpy(succsOut, prev->succsP, size_t(prev->nSuccs_) * sizeof(Succ));
-    std::memcpy(stateStart, prev->stateStartP, size_t(prevN) * sizeof(Addr));
-    std::memcpy(stateMeta, prev->stateMetaP,
-                size_t(prevN) * sizeof(StateMeta));
-
-    // Appended states. Starts and identities first: appended traces'
-    // edges are intra-trace, so a new state's succ targets (and their
-    // labels) land inside the appended range being filled here.
-    for (StateId id = prevN; id < newN; ++id) {
-        const TeaState &st = tea->state(id);
-        stateStart[id] = st.start;
-        stateMeta[id] = StateMeta{st.trace, st.tbb};
-    }
-    for (StateId id = prevN; id < newN; ++id) {
-        const TeaState &st = tea->state(id);
-        succOffset[id + 1] =
-            succOffset[id] + static_cast<uint32_t>(st.succs.size());
-        uint32_t at = succOffset[id];
-        for (StateId t : st.succs)
-            succsOut[at++] = Succ{stateStart[t], t};
-    }
-
-    // Entry index: rebuilt in full. O(traces) — cheap next to the state
-    // sections — and Tea::entries() iterates sorted by address, so the
-    // hash fill order (hence the bytes) matches a full compile exactly.
-    for (uint32_t i = 0; i < cap; ++i)
-        hashSlots[i] = HashSlot{kNoAddr, Tea::kNteState};
-    uint32_t at = 0;
-    for (const auto &[addr, id] : tea->entries()) {
-        TEA_ASSERT(addr != kNoAddr, "entry at the invalid address");
-        entriesOut[at++] = Entry{addr, id};
-        uint32_t slot = hashOf(addr) & c.hashMask;
-        while (hashSlots[slot].addr != kNoAddr)
-            slot = (slot + 1) & c.hashMask;
-        hashSlots[slot] = HashSlot{addr, id};
-    }
-
-    c.payloadP = base;
-    c.payloadLen = lay.payloadBytes;
-    c.succOffsetP = succOffset;
-    c.succsP = succsOut;
-    c.stateStartP = stateStart;
-    c.stateMetaP = stateMeta;
-    c.hashSlotsP = hashSlots;
-    c.entriesP = entriesOut;
-    c.teaBlobP = base + lay.offTea;
-    c.source = std::move(tea);
-
-    out.incremental = true;
-    out.reusedStates = prevN;
-    out.addedStates = newN - prevN;
-    return compiled;
+    return std::make_shared<const CompiledTea>(*tea);
 }
 
 std::shared_ptr<const CompiledTea>
@@ -282,14 +138,13 @@ CompiledTea::adoptView(const CompiledTeaView &view)
     nSuccs_ = view.header.nSuccs;
     nEntries_ = view.header.nEntries;
     hashMask = view.header.hashCap - 1;
-    teaBlobLen_ = view.header.teaBytes;
     succOffsetP = view.succOffset;
     succsP = view.succs;
     stateStartP = view.stateStart;
     stateMetaP = view.stateMeta;
     hashSlotsP = view.hashSlots;
     entriesP = view.entries;
-    teaBlobP = view.teaBlob;
+    stateBlockP = view.stateBlock;
     payloadP = view.payload;
     payloadLen = view.header.payloadBytes;
 }
@@ -306,11 +161,35 @@ CompiledTea::stateFor(uint32_t trace, uint32_t tbb) const
 Tea
 CompiledTea::rehydrateTea() const
 {
-    // Blobless delta snapshots carry their source live instead of
-    // serialized.
-    if (teaBlobLen_ == 0 && source != nullptr)
-        return *source;
-    return loadTea(std::vector<uint8_t>(teaBlobP, teaBlobP + teaBlobLen_));
+    // Every TeaState field lives in some section. A parsed image is
+    // memory-safe, but the audit guards the kernel, not Tea's own
+    // invariants (nor, in the serving tier, the block records): what it
+    // leaves open fails here as bad data.
+    Tea tea;
+    for (StateId id = 1; id < nStates; ++id) {
+        const StateMeta &m = stateMetaP[id];
+        const StateBlock &b = stateBlockP[id];
+        if (tea.stateFor(m.trace, m.tbb) != Tea::kNteState)
+            fatal("teac: two states claim trace %u tbb %u", m.trace, m.tbb);
+        if ((b.flags & ~kLoopHeaderFlag) != 0)
+            fatal("teac: state %u has unknown block flags 0x%08x", id,
+                  b.flags);
+        tea.addState(m.trace, m.tbb, stateStartP[id], b.end,
+                     (b.flags & kLoopHeaderFlag) != 0);
+    }
+    for (StateId id = 1; id < nStates; ++id)
+        for (const Succ *p = succBegin(id); p != succEnd(id); ++p)
+            tea.addTransition(id, p->target);
+    // Entries are strictly sorted by address (audited), so matching
+    // each to its state's start also rules out a duplicate entry.
+    for (const Entry *e = entriesP; e != entriesP + nEntries_; ++e) {
+        if (e->addr != stateStartP[e->state])
+            fatal("teac: entry 0x%08x names state %u, which starts at "
+                  "0x%08x",
+                  e->addr, e->state, stateStartP[e->state]);
+        tea.addEntry(e->state);
+    }
+    return tea;
 }
 
 size_t
@@ -328,12 +207,6 @@ uint64_t
 CompiledTea::compileCount()
 {
     return compileCounter.load(std::memory_order_relaxed);
-}
-
-uint64_t
-CompiledTea::recompileCount()
-{
-    return recompileCounter.load(std::memory_order_relaxed);
 }
 
 } // namespace tea

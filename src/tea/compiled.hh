@@ -29,6 +29,10 @@
  *   and per-TBB reporting read plain arrays instead of `TeaState`
  *   records — which also makes a compiled image self-describing, so a
  *   replay needs no `Tea` at all.
+ * - **Per-state block records** (block end address, loop-header bit):
+ *   the two `TeaState` fields no lookup reads. With them the arena
+ *   holds the whole automaton, and rehydrateTea() rebuilds the exact
+ *   `Tea` from any snapshot — the reference-kernel escape hatch.
  *
  * Every array lives in ONE contiguous, offset-addressed arena laid out
  * exactly as the persistent `.teac` payload (tea/teac.hh): serializing
@@ -36,9 +40,7 @@
  * and loading one is an mmap plus validation — the bytes on disk are
  * byte-for-byte the live lookup structures, so a mapped snapshot
  * replays with zero deserialization. The serialized TEA byte format
- * itself is untouched (docs/FORMATS.md); a copy of it is embedded in
- * the arena so a mapped image can rehydrate its source automaton on
- * demand (the reference-kernel escape hatch).
+ * itself is untouched (docs/FORMATS.md).
  *
  * The compiled kernel's observable behaviour — `ReplayStats`, per-TBB
  * profiles, the state sequence — is bit-identical to the reference
@@ -47,10 +49,13 @@
  * differentially).
  *
  * Immutability makes snapshots shareable: the registry compiles each
- * automaton once at put(), and every svc worker and net session replays
- * against the same `shared_ptr<const CompiledTea>` lock-free. A
- * mapped CompiledTea co-owns its MappedFile, so LRU eviction in the
- * store can never unmap an image a replay still walks.
+ * automaton once at put(), the online recorder once per install, and
+ * every svc worker and net session replays against the same
+ * `shared_ptr<const CompiledTea>` lock-free. A snapshot never retains
+ * the `Tea` it was compiled from (AutomatonSnapshot and ReplayJob carry
+ * one where it exists). A mapped CompiledTea co-owns its MappedFile, so
+ * LRU eviction in the store can never unmap an image a replay still
+ * walks.
  */
 
 #ifndef TEA_TEA_COMPILED_HH
@@ -99,61 +104,24 @@ class CompiledTea
         uint32_t tbb;
     };
 
+    /** The rest of a state's TBB: no lookup reads it, rehydrateTea()
+     *  does (slot 0 = NTE: end kNoAddr, no flags). */
+    struct StateBlock
+    {
+        Addr end;       ///< block end address
+        uint32_t flags; ///< kLoopHeaderFlag or 0
+    };
+
+    /** StateBlock::flags bit: the TBB is a loop header. */
+    static constexpr uint32_t kLoopHeaderFlag = 1;
+
     /** Compile a frozen automaton (does not retain `tea`). */
     explicit CompiledTea(const Tea &tea);
 
-    /**
-     * Compile and keep the source snapshot alive: the returned
-     * CompiledTea co-owns `tea`, so a registry (or job) holding only
-     * the compiled snapshot can never outlive its automaton.
-     */
+    /** Compile a shared snapshot into a shared one (does not retain
+     *  `tea`). */
     static std::shared_ptr<const CompiledTea>
     compile(std::shared_ptr<const Tea> tea);
-
-    /** Outcome report of recompile(): which path ran and how much of
-     *  the previous arena it reused. */
-    struct RecompileInfo
-    {
-        bool incremental = false; ///< delta path (or unchanged reuse)
-        bool unchanged = false;   ///< `prev` was returned as-is
-        uint32_t reusedStates = 0;
-        uint32_t addedStates = 0;
-        const char *fallbackReason = nullptr; ///< set when full compile ran
-    };
-
-    /**
-     * Incremental recompile for online recording: a snapshot of `tea`
-     * that reuses the unchanged prefix of `prev`'s arena instead of
-     * rebuilding every section, so recompile cost tracks the *growth*,
-     * not the automaton size.
-     *
-     * Append-only growth (the recorder's NewTrace case) keeps state ids
-     * and the per-state CSR prefix byte-stable: buildTea() assigns ids
-     * in trace order and trace edges never cross traces, so appending a
-     * trace appends states. The delta path memcpys the first prevN
-     * states' offset/succ/start/meta records and builds only the
-     * appended ones. The entry hash and sorted entry array are rebuilt
-     * in full from Tea::entries() — O(traces), not O(states), and the
-     * sorted iteration keeps their bytes canonical.
-     *
-     * Falls back to a full compile (reporting why through `info`) when
-     * `prev` is null, growth was not append-only (ExtendTrace replaces
-     * a trace and reshuffles ids), the automaton shrank, or the
-     * appended state fraction exceeds `maxChurn`. When nothing grew at
-     * all it returns `prev` itself.
-     *
-     * The delta snapshot is *blobless* — no embedded `.tea` copy — and
-     * co-owns `tea` instead; serialize() regenerates the canonical full
-     * image from the source, so persisted `.teac` bytes stay
-     * bit-identical to an offline compile. Write-through pays that
-     * full-compile cost only when a snapshot is persisted, not per
-     * delta.
-     */
-    static std::shared_ptr<const CompiledTea>
-    recompile(std::shared_ptr<const Tea> tea,
-              const std::shared_ptr<const CompiledTea> &prev,
-              bool appendOnly, double maxChurn = 0.5,
-              RecompileInfo *info = nullptr);
 
     /**
      * Zero-copy load: validate `file` as a `.teac` image (tea/teac.hh)
@@ -163,9 +131,9 @@ class CompiledTea
      * construction cost is header validation plus the structural
      * audit (plus one CRC pass over the payload in strict mode).
      *
-     * @param verifyPayload when false, skip the payload CRC and
-     *        source-hash passes (the structural audit still runs; see
-     *        the "Integrity tiers" note in tea/teac.hh) — the store's
+     * @param verifyPayload when false, skip the payload CRC pass (the
+     *        structural audit still runs; see the "Integrity tiers"
+     *        note in tea/teac.hh) — the store's
      *        serving default, and right for callers that trust the
      *        file (e.g. one they just wrote).
      * @throws FatalError on any corruption — never returns a view that
@@ -261,32 +229,30 @@ class CompiledTea
 
     /**
      * Resident bytes of the lookup structures (memory accounting for
-     * Table 1/4 comparisons). Excludes the embedded source-TEA blob —
-     * that is provenance, not a structure the kernel walks.
+     * Table 1/4 comparisons). Excludes the block records — only
+     * rehydrateTea() reads them, never the kernel.
      */
     size_t footprintBytes() const;
 
-    /** The whole arena (payload) size: every section incl. the blob. */
+    /** The whole arena (payload) size: every section. */
     size_t arenaBytes() const { return static_cast<size_t>(payloadLen); }
 
-    /** The embedded serialized source automaton (tea/serialize.hh). */
-    const uint8_t *teaBlob() const { return teaBlobP; }
-    size_t teaBlobBytes() const { return teaBlobLen_; }
-
     /**
-     * Deserialize the embedded source blob back into a Tea — the slow
-     * path that makes the reference kernel (and consistency ablations)
-     * available even for a mapped image whose Tea was never loaded.
-     * @throws FatalError when the blob is corrupt
+     * Rebuild the exact Tea this snapshot was compiled from: states in
+     * id order with their identity, start, block end and loop-header
+     * bit, successors in CSR order, and the entry list — so
+     * saveTea(rehydrateTea()) == saveTea(tea). The slow path that makes
+     * the reference kernel (and consistency ablations) available for a
+     * snapshot that carries no Tea: a mapped image, or one the recorder
+     * published.
+     * @throws FatalError when a (tampered, parseable) image is no Tea:
+     *         two states claim one (trace, tbb), or an entry's address
+     *         is not its state's start
      */
     Tea rehydrateTea() const;
 
     /** True when this snapshot serves replay out of a mapped file. */
     bool isMapped() const { return mapped != nullptr; }
-
-    /** The co-owned source automaton; null when built by constructor
-     *  or loaded from a mapping. */
-    const std::shared_ptr<const Tea> &sourceTea() const { return source; }
 
     /**
      * Total CompiledTea *compilations* (constructions from a Tea) since
@@ -295,11 +261,6 @@ class CompiledTea
      * contract are both asserted against this counter.
      */
     static uint64_t compileCount();
-
-    /** Total delta recompiles since process start. A delta bumps this,
-     *  never compileCount() — the store's compile-once and
-     *  mmap-never-compiles contracts stay assertable. */
-    static uint64_t recompileCount();
 
     static uint32_t
     hashOf(Addr addr)
@@ -322,7 +283,6 @@ class CompiledTea
     uint32_t nSuccs_ = 0;
     uint32_t nEntries_ = 0;
     uint32_t hashMask = 0;      ///< hash capacity - 1
-    uint32_t teaBlobLen_ = 0;
 
     // Typed views into the arena; identical whether the payload is the
     // owned vector below or a mapped file.
@@ -332,20 +292,20 @@ class CompiledTea
     const StateMeta *stateMetaP = nullptr; ///< per-state (trace, tbb)
     const HashSlot *hashSlotsP = nullptr;  ///< open-addressed index
     const Entry *entriesP = nullptr;       ///< sorted entries
-    const uint8_t *teaBlobP = nullptr;     ///< serialized source TEA
+    const StateBlock *stateBlockP = nullptr; ///< per-state end + flags
 
     const uint8_t *payloadP = nullptr; ///< the whole arena
     uint64_t payloadLen = 0;
 
     std::vector<uint8_t> arena; ///< owned payload (RAM compilation)
     std::shared_ptr<const MappedFile> mapped; ///< mapped payload
-    std::shared_ptr<const Tea> source; ///< set by compile() only
 };
 
 static_assert(sizeof(CompiledTea::Succ) == 8 &&
               sizeof(CompiledTea::Entry) == 8 &&
               sizeof(CompiledTea::HashSlot) == 8 &&
-              sizeof(CompiledTea::StateMeta) == 8,
+              sizeof(CompiledTea::StateMeta) == 8 &&
+              sizeof(CompiledTea::StateBlock) == 8,
               "the .teac sections are arrays of packed 8-byte records");
 
 } // namespace tea

@@ -9,10 +9,18 @@ TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel)
 {
     TEA_ASSERT(selector != nullptr, "recorder needs a selector");
     // "Initial": InitializeTEA — an automaton with only the NTE state.
-    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{});
+    seatReplayer();
 }
 
 TeaRecorder::~TeaRecorder() = default;
+
+void
+TeaRecorder::seatReplayer()
+{
+    // A cold replayer on a fresh snapshot of the automaton as it stands.
+    compiled = std::make_shared<const CompiledTea>(automaton);
+    replayer = std::make_unique<TeaReplayer>(compiled, LookupConfig{});
+}
 
 ReplayStats
 TeaRecorder::stats() const
@@ -45,9 +53,9 @@ TeaRecorder::install(RecordingResult result)
     // at its entry (NTE transitions), so entryAt() is exactly the
     // automaton's answer.
     accumulated += replayer->stats();
-    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{});
+    seatReplayer();
     if (lastToStart != kNoAddr)
-        replayer->setCurrentState(automaton.entryAt(lastToStart));
+        replayer->setCurrentState(compiled->entryAt(lastToStart));
 }
 
 void

@@ -18,7 +18,10 @@
  * Installing a new trace appends it to the live automaton
  * (appendTrace(), Algorithm 1 for one trace), so recording costs time
  * linear in the traces it installs; only a trace-tree extension, which
- * renumbers states, rebuilds the automaton from the trace set.
+ * renumbers states, rebuilds the automaton from the trace set. Each
+ * install then compiles one immutable snapshot of the grown automaton
+ * and seats a fresh replayer on it; that snapshot is also what a
+ * recording session publishes, so a publish compiles nothing.
  */
 
 #ifndef TEA_TEA_RECORDER_HH
@@ -52,6 +55,16 @@ class TeaRecorder
     /** The automaton recorded so far. */
     const Tea &tea() const { return automaton; }
 
+    /**
+     * The compiled snapshot of tea() the recorder replays on: compiled
+     * once per install (and once for the empty automaton), never
+     * mutated, so it is safe to publish and to share across threads.
+     */
+    const std::shared_ptr<const CompiledTea> &snapshot() const
+    {
+        return compiled;
+    }
+
     /** Whether the state machine is currently creating a trace. */
     bool creating() const { return recState == RecState::Creating; }
 
@@ -69,10 +82,14 @@ class TeaRecorder
 
     void install(RecordingResult result);
 
+    /** Compile `automaton` and seat a cold replayer on the snapshot. */
+    void seatReplayer();
+
     std::unique_ptr<TraceSelector> selector;
     TraceSet traceSet;
     Tea automaton;
-    std::unique_ptr<TeaReplayer> replayer;
+    std::shared_ptr<const CompiledTea> compiled; ///< of `automaton`
+    std::unique_ptr<TeaReplayer> replayer;       ///< walks `compiled`
     RecState recState = RecState::Executing;
     ReplayStats accumulated; ///< stats from replayers retired by installs
     Addr lastToStart = kNoAddr;

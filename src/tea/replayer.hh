@@ -201,9 +201,6 @@ class TeaReplayer
     /** Per-state local caches materialized so far. */
     size_t materializedCaches() const { return cachePool.size(); }
 
-    /** The compiled snapshot in use (null on the reference kernel). */
-    const CompiledTea *compiledTea() const { return compiled; }
-
     /** Total automaton states including NTE. */
     uint32_t numStates() const { return nStatesTotal; }
 

@@ -108,7 +108,7 @@ auditDiagnose(const CompiledTeaView &view, const TeacHeader &h)
 
 TeacLayout
 TeacLayout::compute(uint32_t nStates, uint32_t nSuccs, uint32_t nEntries,
-                    uint32_t hashCap, uint32_t teaBytes)
+                    uint32_t hashCap)
 {
     TeacLayout lay{};
     uint64_t off = 0;
@@ -124,8 +124,8 @@ TeacLayout::compute(uint32_t nStates, uint32_t nSuccs, uint32_t nEntries,
     off += uint64_t(hashCap) * sizeof(CompiledTea::HashSlot);
     lay.offEntries = off;
     off += uint64_t(nEntries) * sizeof(CompiledTea::Entry);
-    lay.offTea = off;
-    off = align8(off + teaBytes);
+    lay.offStateBlock = off;
+    off += uint64_t(nStates) * sizeof(CompiledTea::StateBlock);
     lay.payloadBytes = off;
     if (off > kMaxPayload)
         fatal("teac: implausible payload size %llu",
@@ -146,6 +146,12 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
     std::memcpy(&h, data, sizeof(h));
     if (h.magic != kTeacMagic)
         fatal("teac: bad magic 0x%08x (want 0x%08x)", h.magic, kTeacMagic);
+    // The version fixes the header layout (including where headerCrc
+    // sits), so it is the one field read before authentication: an
+    // image of another version fails as exactly that.
+    if (h.version != kTeacVersion)
+        fatal("teac: unsupported format version %u (this reader speaks %u)",
+              h.version, kTeacVersion);
 
     // Authenticate the header before trusting any other field.
     TeacHeader crcView = h;
@@ -155,9 +161,6 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
         fatal("teac: header CRC mismatch (stored 0x%08x, computed 0x%08x)",
               h.headerCrc, wantHeaderCrc);
 
-    if (h.version != kTeacVersion)
-        fatal("teac: unsupported format version %u (this reader speaks %u)",
-              h.version, kTeacVersion);
     if (h.flags != 0)
         fatal("teac: unknown flag bits 0x%08x", h.flags);
     if (h.reserved != 0)
@@ -176,8 +179,8 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
     // The offsets are a pure function of the counts: recompute and
     // require an exact match, so there is one valid geometry and no
     // section can alias or escape the payload.
-    TeacLayout lay = TeacLayout::compute(h.nStates, h.nSuccs, h.nEntries,
-                                         h.hashCap, h.teaBytes);
+    TeacLayout lay =
+        TeacLayout::compute(h.nStates, h.nSuccs, h.nEntries, h.hashCap);
     if (h.payloadBytes != lay.payloadBytes)
         fatal("teac: payload size %llu does not match the declared shape "
               "(canonical %llu)",
@@ -191,7 +194,8 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
         h.offStateStart != lay.offStateStart ||
         h.offStateMeta != lay.offStateMeta ||
         h.offHashSlots != lay.offHashSlots ||
-        h.offEntries != lay.offEntries || h.offTea != lay.offTea)
+        h.offEntries != lay.offEntries ||
+        h.offStateBlock != lay.offStateBlock)
         fatal("teac: non-canonical section offsets");
 
     const uint8_t *payload = data + sizeof(TeacHeader);
@@ -202,9 +206,6 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
                   "0x%08x)",
                   h.payloadCrc, wantPayloadCrc);
     }
-    // (The source-TEA hash is part of the same optional tier: it is
-    // checked below only under verifyPayload, since the blob is never
-    // walked by the kernel — rehydrateTea() re-validates it in full.)
 
     CompiledTeaView view;
     view.header = h;
@@ -221,7 +222,8 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
         payload + lay.offHashSlots);
     view.entries = reinterpret_cast<const CompiledTea::Entry *>(
         payload + lay.offEntries);
-    view.teaBlob = payload + lay.offTea;
+    view.stateBlock = reinterpret_cast<const CompiledTea::StateBlock *>(
+        payload + lay.offStateBlock);
 
     // Structural audit: after this pass the zero-copy kernel can walk
     // the image with no per-access bounds checks. Each section is
@@ -313,12 +315,18 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
         }
     }
 
+    // Block records: no lookup reads them, so the serving tier leaves
+    // their pages untouched (rehydrateTea() checks the flags it
+    // decodes); the strict tier, whose CRC pass has just read them,
+    // pins their shape: NTE has none, flags hold the loop-header bit.
     if (verifyPayload) {
-        uint32_t wantSourceHash = crc32(view.teaBlob, h.teaBytes);
-        if (h.sourceHash != wantSourceHash)
-            fatal("teac: source-TEA hash mismatch (stored 0x%08x, "
-                  "computed 0x%08x)",
-                  h.sourceHash, wantSourceHash);
+        const CompiledTea::StateBlock *blocks = view.stateBlock;
+        if (blocks[0].end != kNoAddr || blocks[0].flags != 0)
+            fatal("teac: the NTE state has a block record");
+        for (uint32_t i = 1; i < h.nStates; ++i)
+            if ((blocks[i].flags & ~CompiledTea::kLoopHeaderFlag) != 0)
+                fatal("teac: state %u has unknown block flags 0x%08x", i,
+                      blocks[i].flags);
     }
 
     return view;
@@ -327,13 +335,6 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
 std::vector<uint8_t>
 CompiledTea::serialize() const
 {
-    // A blobless delta snapshot (CompiledTea::recompile) has no
-    // embedded source copy; its persistent form is the canonical full
-    // compile of the co-owned source, so `.teac` bytes on disk are
-    // bit-identical to an offline compile of the same automaton.
-    if (teaBlobLen_ == 0 && sourceTea() != nullptr)
-        return CompiledTea(*sourceTea()).serialize();
-
     TeacHeader h{};
     h.magic = kTeacMagic;
     h.version = kTeacVersion;
@@ -342,10 +343,9 @@ CompiledTea::serialize() const
     h.nSuccs = nSuccs_;
     h.nEntries = nEntries_;
     h.hashCap = hashMask + 1;
-    h.teaBytes = teaBlobLen_;
     h.payloadBytes = payloadLen;
-    TeacLayout lay = TeacLayout::compute(nStates, nSuccs_, nEntries_,
-                                         hashMask + 1, teaBlobLen_);
+    TeacLayout lay =
+        TeacLayout::compute(nStates, nSuccs_, nEntries_, hashMask + 1);
     TEA_ASSERT(lay.payloadBytes == payloadLen,
                "compiled arena disagrees with the canonical layout");
     h.offSuccOffset = lay.offSuccOffset;
@@ -354,8 +354,7 @@ CompiledTea::serialize() const
     h.offStateMeta = lay.offStateMeta;
     h.offHashSlots = lay.offHashSlots;
     h.offEntries = lay.offEntries;
-    h.offTea = lay.offTea;
-    h.sourceHash = crc32(teaBlobP, teaBlobLen_);
+    h.offStateBlock = lay.offStateBlock;
     h.payloadCrc = crc32(payloadP, payloadLen);
     h.reserved = 0;
     h.headerCrc = 0;

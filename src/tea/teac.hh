@@ -2,26 +2,29 @@
  * @file
  * `.teac` — the persistent, relocatable form of a CompiledTea.
  *
- * A `.teac` file is a fixed 112-byte header followed by the compiled
+ * A `.teac` file is a fixed 104-byte header followed by the compiled
  * arena verbatim: CSR successor arrays, SoA state metadata, the flat
- * entry hash, the sorted entry array, and an embedded copy of the
- * serialized source `.tea` (tea/serialize.hh). Every section is
- * addressed by an offset from the start of the *payload* (byte 112), so
- * the image is position-independent: mmap it anywhere, validate, and
- * replay straight out of the mapping — the disk bytes are byte-for-byte
- * the live lookup structures of tea/compiled.hh.
+ * entry hash, the sorted entry array, and the per-state block records
+ * (end address, loop-header bit) that complete the automaton. Every
+ * section is addressed by an offset from the start of the *payload*
+ * (byte 104), so the image is position-independent: mmap it anywhere,
+ * validate, and replay straight out of the mapping — the disk bytes
+ * are byte-for-byte the live lookup structures of tea/compiled.hh.
+ * The image encodes the automaton once: CompiledTea::rehydrateTea()
+ * rebuilds the exact `Tea` from these sections, so no `.tea` copy
+ * rides along.
  *
  * Header (all fields little endian; offsets/sizes in bytes):
  *
  *   off  size  field          meaning
  *     0     4  magic          'TEAC' (0x43414554)
- *     4     4  version        format version; readers reject != 1
+ *     4     4  version        format version; readers reject != 2
  *     8     4  flags          reserved, must be 0
  *    12     4  nStates        states incl. NTE (>= 1)
  *    16     4  nSuccs         total CSR transitions
  *    20     4  nEntries       trace entries (hash occupancy)
  *    24     4  hashCap        hash slots; power of two >= 8, > nEntries
- *    28     4  teaBytes       embedded source-.tea blob length
+ *    28     4  payloadCrc     CRC-32 of the payload
  *    32     8  payloadBytes   everything after the header
  *    40     8  offSuccOffset  CSR offsets    (nStates+1) x u32
  *    48     8  offSuccs       transitions    nSuccs x {u32 label, u32 id}
@@ -29,11 +32,12 @@
  *    64     8  offStateMeta   identities     nStates x {u32 trace, u32 tbb}
  *    72     8  offHashSlots   entry hash     hashCap x {u32 addr, u32 id}
  *    80     8  offEntries     sorted entries nEntries x {u32 addr, u32 id}
- *    88     8  offTea         source blob    teaBytes x u8
- *    96     4  sourceHash     CRC-32 of the embedded .tea blob
- *   100     4  payloadCrc     CRC-32 of the payload
- *   104     4  headerCrc      CRC-32 of the header with this field zero
- *   108     4  reserved       must be 0
+ *    88     8  offStateBlock  block records  nStates x {u32 end, u32 flags}
+ *    96     4  headerCrc      CRC-32 of the header with this field zero
+ *   100     4  reserved       must be 0
+ *
+ * A block record's flags hold the loop-header bit (bit 0) and nothing
+ * else; NTE's record is {0xffffffff, 0}.
  *
  * Alignment & endianness rules: sections are laid out in the order
  * above, each starting at an offset that is a multiple of 8, with the
@@ -44,12 +48,17 @@
  * readers on big-endian hosts fail closed rather than byte-swap.
  *
  * Versioning policy: `version` is bumped on ANY incompatible change
- * (field meaning, section order, record shape). New optional sections
- * must be appended and described by new header fields taken from
- * `flags` bits — readers reject unknown flag bits, so old readers can
- * never misparse a new image. There is no in-place migration: a
- * version-N reader rejects version-M != N files and the caller
- * recompiles from the source `.tea` (which the image embeds).
+ * (field meaning, section order, record shape, header layout). The
+ * version fixes the header layout, so a reader checks magic and
+ * version before the header CRC: an image of another version fails as
+ * exactly that. New optional sections must be appended and described
+ * by new header fields taken from `flags` bits — readers reject
+ * unknown flag bits, so old readers can never misparse a new image.
+ * There is no in-place migration: a version-N reader rejects
+ * version-M != N files (version 1 carried an embedded `.tea` copy and
+ * is rejected, not migrated), and the caller recompiles from the
+ * automaton's `.tea`. For any image the reader accepts,
+ * CompiledTea::rehydrateTea() recovers that `.tea`.
  *
  * Failure discipline: every validation failure throws a typed
  * FatalError (util/logging.hh). A `.teac` that parses is safe to replay
@@ -58,11 +67,13 @@
  *
  * Integrity tiers: the header CRC and the full structural audit are
  * unconditional — they are what make a parsed image memory-safe and
- * keep both global-lookup modes in agreement. The whole-payload CRC
- * and the source-blob hash are a second, optional tier (`verifyPayload`,
- * on by default) that additionally detects bit rot in bytes the audit
- * cannot fully constrain (e.g. state identities used for profile
- * attribution). The store's serving fault-in path turns the optional
+ * keep both global-lookup modes in agreement. The whole-payload CRC is
+ * a second, optional tier (`verifyPayload`, on by default) that
+ * additionally detects bit rot in bytes the audit cannot fully
+ * constrain (e.g. state identities used for profile attribution, or
+ * block end addresses) and checks the block records' shape; the
+ * serving tier never touches the block records, which only
+ * rehydrateTea() reads (and checks). The store's serving fault-in path turns the optional
  * tier off by default (StoreConfig::verifyPayload) because it doubles
  * cold-start cost for corruption classes the audit already catches;
  * `teadbt inspect` and the fuzz suite always run the strict tier.
@@ -81,7 +92,7 @@ namespace tea {
 
 /** 'TEAC' little-endian. */
 constexpr uint32_t kTeacMagic = 0x43414554u;
-constexpr uint32_t kTeacVersion = 1;
+constexpr uint32_t kTeacVersion = 2;
 
 /** The on-disk `.teac` header; see the file comment for field docs. */
 struct TeacHeader
@@ -93,7 +104,7 @@ struct TeacHeader
     uint32_t nSuccs;
     uint32_t nEntries;
     uint32_t hashCap;
-    uint32_t teaBytes;
+    uint32_t payloadCrc;
     uint64_t payloadBytes;
     uint64_t offSuccOffset;
     uint64_t offSuccs;
@@ -101,15 +112,13 @@ struct TeacHeader
     uint64_t offStateMeta;
     uint64_t offHashSlots;
     uint64_t offEntries;
-    uint64_t offTea;
-    uint32_t sourceHash;
-    uint32_t payloadCrc;
+    uint64_t offStateBlock;
     uint32_t headerCrc;
     uint32_t reserved;
 };
 
-static_assert(sizeof(TeacHeader) == 112,
-              "the .teac header is a fixed 112-byte record");
+static_assert(sizeof(TeacHeader) == 104,
+              "the .teac header is a fixed 104-byte record");
 
 /**
  * The canonical payload layout for a given shape: section offsets (from
@@ -126,12 +135,11 @@ struct TeacLayout
     uint64_t offStateMeta;
     uint64_t offHashSlots;
     uint64_t offEntries;
-    uint64_t offTea;
+    uint64_t offStateBlock;
     uint64_t payloadBytes;
 
     static TeacLayout compute(uint32_t nStates, uint32_t nSuccs,
-                              uint32_t nEntries, uint32_t hashCap,
-                              uint32_t teaBytes);
+                              uint32_t nEntries, uint32_t hashCap);
 };
 
 /**
@@ -139,11 +147,11 @@ struct TeacLayout
  *
  * parse() performs the complete fail-closed validation pass: header
  * shape, CRCs, canonical geometry, and a structural audit of every
- * section (CSR monotonicity, target bounds, label/start agreement,
- * entry ordering, hash/entry cross-check, source-hash match). On
- * success the typed pointers below alias `data` directly — no bytes
- * are copied — and replay through them is guaranteed in-bounds and
- * terminating. The view does not own `data`; CompiledTea::fromMapped()
+ * kernel section (CSR monotonicity, target bounds, label/start
+ * agreement, entry ordering, hash/entry cross-check), plus the block
+ * records' shape under verifyPayload. On success the typed pointers
+ * below alias `data` directly — no bytes are copied — and replay
+ * through them is guaranteed in-bounds and terminating. The view does not own `data`; CompiledTea::fromMapped()
  * pairs it with the owning MappedFile.
  */
 struct CompiledTeaView
@@ -156,13 +164,13 @@ struct CompiledTeaView
     const CompiledTea::StateMeta *stateMeta = nullptr;
     const CompiledTea::HashSlot *hashSlots = nullptr;
     const CompiledTea::Entry *entries = nullptr;
-    const uint8_t *teaBlob = nullptr;
+    const CompiledTea::StateBlock *stateBlock = nullptr;
 
     /**
      * Validate `len` bytes at `data` as a `.teac` image.
-     * @param verifyPayload when false, skip the payload CRC and
-     *        source-blob hash passes (the header CRC and the full
-     *        structural audit still run; see "Integrity tiers" above)
+     * @param verifyPayload when false, skip the payload CRC pass (the
+     *        header CRC and the full structural audit still run; see
+     *        "Integrity tiers" above)
      * @throws FatalError on any corruption, truncation, or version
      *         mismatch — never returns a partially valid view
      */

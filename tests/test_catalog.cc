@@ -256,8 +256,6 @@ expected(const Tally &t)
         {"store.faults_by_automaton", {E::Eq, 1}},
         {"rec.sessions", {E::Eq, 2}},
         {"rec.transitions", {E::Eq, t.recorded}},
-        {"rec.recompiles_full", {E::AtLeast, 1}},
-        {"rec.recompiles_incremental", {E::AtLeast, 1}},
         {"rec.swaps", {E::Eq, t.swaps}},
         {"rec.swap_ms", {E::Eq, t.swaps}},
         {"rec.aborted", {E::Eq, 1}},

@@ -95,7 +95,7 @@ class Chaos : public ::testing::Test
         tea = new std::shared_ptr<const Tea>(std::make_shared<const Tea>(
             buildTea(DbtRuntime(w.program).record("mret").traces)));
         log = new std::vector<uint8_t>(recordLog(w.program));
-        teaBytes = new std::vector<uint8_t>(saveTea(**tea));
+        teaImage = new std::vector<uint8_t>(saveTea(**tea));
 
         // The local ground truth every successful remote attempt must
         // match bit for bit.
@@ -108,7 +108,7 @@ class Chaos : public ::testing::Test
     TearDownTestSuite()
     {
         delete reference;
-        delete teaBytes;
+        delete teaImage;
         delete log;
         delete tea;
     }
@@ -129,7 +129,7 @@ class Chaos : public ::testing::Test
         Outcome out;
         try {
             TeaClient c = TeaClient::connect(ep, faults, seed);
-            c.putAutomaton("gzip", *teaBytes);
+            c.putAutomaton("gzip", *teaImage);
             RemoteReplayOptions opt;
             opt.wantProfile = true;
             out.res = c.replay("gzip", *log, opt);
@@ -172,13 +172,13 @@ class Chaos : public ::testing::Test
 
     static std::shared_ptr<const Tea> *tea;
     static std::vector<uint8_t> *log;
-    static std::vector<uint8_t> *teaBytes;
+    static std::vector<uint8_t> *teaImage;
     static StreamResult *reference;
 };
 
 std::shared_ptr<const Tea> *Chaos::tea = nullptr;
 std::vector<uint8_t> *Chaos::log = nullptr;
-std::vector<uint8_t> *Chaos::teaBytes = nullptr;
+std::vector<uint8_t> *Chaos::teaImage = nullptr;
 StreamResult *Chaos::reference = nullptr;
 
 TEST_F(Chaos, BenignFaultsNeverChangeAnyResult)
@@ -277,7 +277,7 @@ TEST_F(Chaos, RetriesConvergeUnderBoundedDestructiveRate)
         job.log = log->data();
         job.len = log->size();
         job.opt.wantProfile = true;
-        job.teaBytes = teaBytes;
+        job.teaImage = teaImage;
         job.faults = faults;
         job.faultSeed = 4000 + seed * 100;
         policy.seed = seed + 1;

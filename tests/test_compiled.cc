@@ -101,33 +101,19 @@ TEST(CompiledTea, EmptyAutomaton)
     EXPECT_GT(compiled.footprintBytes(), 0u);
 }
 
-TEST(CompiledTea, CompileCoOwnsSource)
-{
-    auto tea =
-        std::make_shared<const Tea>(makeSyntheticTea(4));
-    const Tea *raw = tea.get();
-    auto compiled = CompiledTea::compile(tea);
-    ASSERT_NE(compiled, nullptr);
-    EXPECT_EQ(compiled->sourceTea().get(), raw);
-    tea.reset();
-    // The compiled snapshot keeps the automaton alive on its own.
-    EXPECT_EQ(compiled->sourceTea()->numStates(),
-              compiled->numStates());
-}
-
 TEST(CompiledTea, CompileCountAdvancesPerCompilation)
 {
     uint64_t before = CompiledTea::compileCount();
     Tea tea = makeSyntheticTea(2);
     CompiledTea a(tea);
     EXPECT_EQ(CompiledTea::compileCount(), before + 1);
-    auto shared = CompiledTea::compile(
-        std::make_shared<const Tea>(makeSyntheticTea(2)));
+    auto source = std::make_shared<const Tea>(makeSyntheticTea(2));
+    auto shared = CompiledTea::compile(source);
     EXPECT_EQ(CompiledTea::compileCount(), before + 2);
 
     // Sharing a precompiled snapshot must not compile again...
     LookupConfig cfg;
-    TeaReplayer sharing(*shared->sourceTea(), cfg, shared);
+    TeaReplayer sharing(*source, cfg, shared);
     EXPECT_EQ(CompiledTea::compileCount(), before + 2);
     // ...while a replayer without one compiles privately.
     TeaReplayer owning(tea, cfg);

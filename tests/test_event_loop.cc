@@ -13,6 +13,8 @@
  *   any of it is fatally closed, with the loop.wq_overflow counter as
  *   the audit trail;
  * - the poll(2) fallback backend serving a full replay round trip;
+ * - read-on: a streamed REPLAY many read chunks long runs in fewer
+ *   consume tasks than the loop's own reads would have dispatched;
  * - a 10k-idle-connection smoke test (opt-in via TEA_BIG_NET_TESTS)
  *   proving connection count does not move the thread count.
  *
@@ -42,6 +44,7 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "net/timer_wheel.hh"
+#include "obs/metrics.hh"
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
 #include "util/logging.hh"
@@ -334,6 +337,54 @@ TEST(EventLoopPollBackend, FullReplayRoundTripOnForcedPoll)
     server.stop();
     EXPECT_EQ(server.sessionsServed(), 1u);
     EXPECT_GT(counterValue(server, "loop.iterations"), 0u);
+}
+
+// ------------------------------------------------------------- read-on
+
+TEST(EventLoopReadOn, AStreamedReplayTakesFewerTasksThanReadChunks)
+{
+    // syn.gzip's run, repeated into a log of at least 2 MiB. The client
+    // writes a REPLAY's frames as fast as it can copy them and the
+    // server decodes and replays each one, so bytes keep waiting on
+    // the socket while a task runs. The loop reads at most 64 KiB per
+    // task it dispatches; a task that owes no reply reads on itself.
+    Workload w = Workloads::build("syn.gzip", InputSize::Test);
+    Tea tea = buildTea(DbtRuntime(w.program).record("mret").traces);
+    std::vector<BlockTransition> run = readTraceLog(recordLog(w.program));
+    TeaReplayer reference(tea, LookupConfig{});
+    std::vector<uint8_t> log;
+    {
+        TraceLogWriter writer(&log);
+        while (log.size() < (2u << 20))
+            for (const BlockTransition &tr : run) {
+                writer.append(tr);
+                reference.feed(tr);
+            }
+        writer.finish();
+    }
+    const size_t readChunks = log.size() / (64 * 1024);
+
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TeaServer server(cfg);
+    server.start();
+    TeaClient client = TeaClient::connect(server.endpoint());
+    client.putAutomaton("gzip", tea);
+
+    obs::Histogram &tasks = server.metrics().histogram("pool.task_ms");
+    uint64_t before = tasks.view().count;
+    RemoteReplayResult res = client.replay("gzip", log);
+    // A task records its wall time after its reply can reach the
+    // client, so the PUT's task or the REPLAY's last one may land on
+    // the other side of a read: off by one at most, far inside the
+    // margin.
+    uint64_t taken = tasks.view().count - before;
+
+    EXPECT_EQ(res.stats, reference.stats());
+    EXPECT_LT(taken, readChunks)
+        << "each consume task read at most one 64 KiB chunk";
+    client.close();
+    server.stop();
 }
 
 // --------------------------------------------------------- 10k smoke

@@ -34,14 +34,14 @@ TEST(Harness, MemoryExperimentIsInternallyConsistent)
     MemoryCell cell = memoryExperiment(w, "mret");
     EXPECT_GT(cell.traces, 0u);
     EXPECT_GE(cell.tbbs, cell.traces);
-    EXPECT_GT(cell.dbtBytes, cell.teaBytes)
+    EXPECT_GT(cell.dbtBytes, cell.teaSerialBytes)
         << "replication must cost more than the automaton";
     EXPECT_GT(cell.savings(), 0.5);
     EXPECT_LT(cell.savings(), 0.99);
 
     // The TEA side must equal the real serializer's output.
     TraceSet traces = recordWithDbt(w, "mret");
-    EXPECT_EQ(cell.teaBytes, buildTea(traces).serializedBytes());
+    EXPECT_EQ(cell.teaSerialBytes, buildTea(traces).serializedBytes());
 }
 
 TEST(Harness, ReplayAndRecordCoverageAgree)

@@ -36,10 +36,12 @@ namespace {
 
 /** Record a workload's transition stream into an in-memory log. */
 std::vector<uint8_t>
-recordLog(const Program &prog)
+recordLog(const Program &prog, uint32_t version = TraceLogFormat::kVersion)
 {
     std::vector<uint8_t> bytes;
-    TraceLogWriter writer(&bytes);
+    TraceLogOptions opts;
+    opts.version = version;
+    TraceLogWriter writer(&bytes, opts);
     Machine m(prog);
     BlockTracker tracker(
         prog, [&](const BlockTransition &tr) { writer.append(tr); },
@@ -297,14 +299,14 @@ TEST(Session, PutListEvictFlow)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     Tea tea = recordTea(wl.program);
-    std::vector<uint8_t> teaBytes = saveTea(tea);
+    std::vector<uint8_t> teaImage = saveTea(tea);
 
     SessionHarness h;
     h.hello();
 
     PayloadWriter put;
     put.str("gzip");
-    put.raw(teaBytes.data(), teaBytes.size());
+    put.raw(teaImage.data(), teaImage.size());
     auto replies = h.send(MsgType::PutAutomaton, put);
     ASSERT_EQ(replies.size(), 1u);
     ASSERT_EQ(replies[0].type, MsgType::PutOk);
@@ -540,6 +542,37 @@ TEST_F(NetLoopback, LookupFlagsChangeTheLookupPathNotTheResult)
     EXPECT_GT(a.stats.localCacheHits, 0u);
 }
 
+TEST_F(NetLoopback, V2LogsCostAtMostHalfTheWireBytesOfV1)
+{
+    // The same stream uploaded from a v1 and a v2 container, one
+    // request each over a fresh connection, counting both directions
+    // so the (identical) replies are charged equally to both. Byte
+    // counts are deterministic, so the 2x bound is exact, not a timing.
+    std::vector<uint8_t> logV1 =
+        recordLog(Workloads::build("syn.gzip", InputSize::Test).program,
+                  TraceLogFormat::kVersionV1);
+    ServerConfig cfg;
+    cfg.workers = 1;
+    TeaServer server(cfg);
+    server.start();
+    TeaClient::connect(server.endpoint()).putAutomaton("gzip", *tea);
+
+    const std::vector<uint8_t> *logs[2] = {&logV1, &log};
+    uint64_t wire[2] = {0, 0};
+    ReplayStats stats[2];
+    for (int v = 0; v < 2; ++v) {
+        TeaClient client = TeaClient::connect(server.endpoint());
+        RemoteReplayOptions opt;
+        opt.wantProfile = true;
+        stats[v] = client.replay("gzip", *logs[v], opt).stats;
+        wire[v] = client.bytesSent() + client.bytesReceived();
+    }
+    server.stop();
+    EXPECT_EQ(stats[0], stats[1]);
+    EXPECT_GE(wire[0], 2 * wire[1])
+        << "v1 " << wire[0] << " bytes, v2 " << wire[1] << " bytes";
+}
+
 TEST_F(NetLoopback, AdmissionQueueOverflowRepliesBusy)
 {
     ServerConfig cfg;
@@ -646,7 +679,7 @@ TEST_F(NetLoopback, RetryRidesOutABusyServer)
     TeaServer server(cfg);
     server.start();
     std::string ep = server.endpoint();
-    std::vector<uint8_t> teaBytes = saveTea(*tea);
+    std::vector<uint8_t> teaImage = saveTea(*tea);
 
     // A holds the only session slot and hangs up shortly; until then
     // every connect bounces.
@@ -665,7 +698,7 @@ TEST_F(NetLoopback, RetryRidesOutABusyServer)
     job.name = "gzip";
     job.log = log.data();
     job.len = log.size();
-    job.teaBytes = &teaBytes; // re-uploaded on every attempt
+    job.teaImage = &teaImage; // re-uploaded on every attempt
     RetryPolicy policy;
     policy.retries = 10;
     policy.backoffMs = 10;

@@ -58,7 +58,7 @@ goldenStream()
         Workload w = Workloads::build("syn.gzip", InputSize::Test);
         DbtRuntime dbt(w.program);
         Tea tea = buildTea(dbt.record("mret").traces);
-        std::vector<uint8_t> teaBytes = saveTea(tea);
+        std::vector<uint8_t> teaImage = saveTea(tea);
         std::vector<uint8_t> log = recordLog(w.program);
 
         std::vector<uint8_t> out;
@@ -69,7 +69,7 @@ goldenStream()
 
         PayloadWriter put;
         put.str("gzip");
-        put.raw(teaBytes.data(), teaBytes.size());
+        put.raw(teaImage.data(), teaImage.size());
         appendFrame(out, MsgType::PutAutomaton, put.out());
 
         appendFrame(out, MsgType::List, nullptr, 0);

@@ -9,10 +9,12 @@
  *    one an offline TeaRecorder grew from the same transitions: same
  *    serialized Tea bytes, same ReplayStats, same compiled `.teac`
  *    image byte for byte.
- * 2. Incremental recompile: the delta path of CompiledTea::recompile()
- *    produces images whose serialized form is bit-identical to a full
- *    compile, over randomized growth schedules and chained deltas, and
- *    falls back to a full compile exactly when it must.
+ * 2. One compile per install: a publish hands the registry the
+ *    recorder's own snapshot, so a session compiles exactly once per
+ *    install (plus the empty automaton) however often it swaps, and a
+ *    `--reference` replay of a recording — mid-stream or finished —
+ *    rehydrates its Tea from that snapshot and matches the compiled
+ *    kernel.
  * 3. Hot swap: registry replace() is atomic — a replay that pinned a
  *    snapshot keeps it while the name is swapped under it, raced under
  *    TSan in CI.
@@ -51,7 +53,6 @@
 #include "tea/serialize.hh"
 #include "tea/teac.hh"
 #include "trace/factory.hh"
-#include "util/random.hh"
 #include "vm/machine.hh"
 #include "workloads/workload.hh"
 
@@ -283,86 +284,6 @@ TEST(TransitionCodec, TraceLogChunkIsTheWireChunk)
     EXPECT_EQ(a, c);
 }
 
-// --------------------------------------------------- incremental recompile
-
-TEST(Recompile, DeltaIsBitIdenticalToFullCompile)
-{
-    auto prevTea = std::make_shared<const Tea>(makeSyntheticTea(8));
-    auto grownTea = std::make_shared<const Tea>(makeSyntheticTea(10));
-    auto prev = CompiledTea::compile(prevTea);
-
-    CompiledTea::RecompileInfo info;
-    auto delta = CompiledTea::recompile(grownTea, prev,
-                                        /*appendOnly=*/true, 0.5, &info);
-    EXPECT_TRUE(info.incremental);
-    EXPECT_FALSE(info.unchanged);
-    EXPECT_EQ(info.reusedStates, prev->numStates());
-    EXPECT_EQ(info.addedStates,
-              grownTea->numStates() - prevTea->numStates());
-
-    auto full = CompiledTea::compile(grownTea);
-    EXPECT_EQ(delta->serialize(), full->serialize());
-    EXPECT_EQ(delta->numStates(), full->numStates());
-}
-
-TEST(Recompile, UnchangedAutomatonReturnsThePreviousImage)
-{
-    auto tea = std::make_shared<const Tea>(makeSyntheticTea(5));
-    auto prev = CompiledTea::compile(tea);
-    CompiledTea::RecompileInfo info;
-    auto same = CompiledTea::recompile(tea, prev, true, 0.5, &info);
-    EXPECT_TRUE(info.unchanged);
-    EXPECT_EQ(same.get(), prev.get());
-}
-
-TEST(Recompile, FallsBackExactlyWhenItMust)
-{
-    auto small = std::make_shared<const Tea>(makeSyntheticTea(4));
-    auto big = std::make_shared<const Tea>(makeSyntheticTea(16));
-    auto prev = CompiledTea::compile(small);
-
-    CompiledTea::RecompileInfo info;
-    // No previous image.
-    auto a = CompiledTea::recompile(big, nullptr, true, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
-    EXPECT_EQ(a->serialize(), CompiledTea::compile(big)->serialize());
-    // Non-append growth (an ExtendTrace reshuffled state ids).
-    CompiledTea::recompile(big, prev, false, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
-    // Churn over threshold: 4 -> 16 traces appends far more than 10%.
-    CompiledTea::recompile(big, prev, true, 0.1, &info);
-    EXPECT_FALSE(info.incremental);
-    // A shrink can never be append-only growth.
-    auto grownFirst = CompiledTea::compile(big);
-    CompiledTea::recompile(small, grownFirst, true, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
-}
-
-TEST(Recompile, RandomizedChainedGrowthSchedules)
-{
-    // Differential test: grow an automaton through a random schedule of
-    // append-only steps, chaining each delta off the previous one, and
-    // demand bit identity with a from-scratch compile at every step.
-    for (uint64_t seed : {7u, 1234u, 987654u}) {
-        Xorshift64Star rng(seed);
-        size_t traces = 2 + rng.nextBelow(4);
-        auto tea = std::make_shared<const Tea>(makeSyntheticTea(traces));
-        auto prev = CompiledTea::compile(tea);
-        for (int step = 0; step < 8; ++step) {
-            traces += 1 + rng.nextBelow(5);
-            auto grown =
-                std::make_shared<const Tea>(makeSyntheticTea(traces));
-            CompiledTea::RecompileInfo info;
-            auto next =
-                CompiledTea::recompile(grown, prev, true, 0.9, &info);
-            ASSERT_EQ(next->serialize(),
-                      CompiledTea::compile(grown)->serialize())
-                << "seed " << seed << " step " << step;
-            prev = next; // chain deltas off blobless delta images too
-        }
-    }
-}
-
 // ------------------------------------------------------- recording session
 
 TEST(RecordingSession, OnlineGrowthIsBitIdenticalToOffline)
@@ -374,33 +295,44 @@ TEST(RecordingSession, OnlineGrowthIsBitIdenticalToOffline)
     TeaRecorder offline(makeSelector("mret"));
     for (const BlockTransition &tr : stream)
         offline.feed(tr);
-
-    AutomatonRegistry registry;
-    rec::RecordingConfig cfg;
-    cfg.swapInterval = 500; // several mid-stream publishes
-    rec::RecordingSession session("gzip", registry, nullptr, cfg);
-    for (const BlockTransition &tr : stream)
-        session.feed(tr);
-    rec::RecordingResultSummary sum = session.finish();
-
-    EXPECT_EQ(sum.transitions, stream.size());
-    EXPECT_EQ(sum.traces, offline.traces().size());
-    EXPECT_EQ(sum.states, offline.tea().numStates());
-
-    // The automaton, its counters, and the compiled image are all
-    // bit-identical to the offline run.
-    EXPECT_EQ(saveTea(session.tea()), saveTea(offline.tea()));
-    EXPECT_EQ(statsBytes(session.stats()), statsBytes(offline.stats()));
     auto offlineCompiled = CompiledTea::compile(
         std::make_shared<const Tea>(offline.tea()));
-    ASSERT_NE(session.current(), nullptr);
-    EXPECT_EQ(session.current()->serialize(),
-              offlineCompiled->serialize());
 
-    // The registry serves the published snapshot.
-    AutomatonSnapshot snap = registry.snapshot("gzip");
-    ASSERT_TRUE(static_cast<bool>(snap));
-    EXPECT_EQ(snap.compiled.get(), session.current().get());
+    // Publishing every transition, every 500, or only at finish():
+    // the swap count varies, the compile count does not.
+    for (uint32_t interval : {1u, 500u, 1u << 30}) {
+        SCOPED_TRACE("swap interval " + std::to_string(interval));
+        AutomatonRegistry registry;
+        rec::RecordingConfig cfg;
+        cfg.swapInterval = interval;
+        uint64_t compilesBefore = CompiledTea::compileCount();
+        rec::RecordingSession session("gzip", registry, nullptr, cfg);
+        for (const BlockTransition &tr : stream)
+            session.feed(tr);
+        rec::RecordingResultSummary sum = session.finish();
+
+        EXPECT_EQ(sum.transitions, stream.size());
+        EXPECT_EQ(sum.traces, offline.traces().size());
+        EXPECT_EQ(sum.states, offline.tea().numStates());
+        // One compile per install plus the empty automaton's: a publish
+        // swaps in the recorder's own snapshot and compiles nothing.
+        EXPECT_EQ(CompiledTea::compileCount() - compilesBefore,
+                  offline.installs() + 1)
+            << sum.swaps << " swaps";
+
+        // The automaton, its counters, and the compiled image are all
+        // bit-identical to the offline run.
+        EXPECT_EQ(saveTea(session.tea()), saveTea(offline.tea()));
+        EXPECT_EQ(statsBytes(session.stats()), statsBytes(offline.stats()));
+        ASSERT_NE(session.current(), nullptr);
+        EXPECT_EQ(session.current()->serialize(),
+                  offlineCompiled->serialize());
+
+        // The registry serves the published snapshot.
+        AutomatonSnapshot snap = registry.snapshot("gzip");
+        ASSERT_TRUE(static_cast<bool>(snap));
+        EXPECT_EQ(snap.compiled.get(), session.current().get());
+    }
 }
 
 TEST(RecordingSession, SwapsPublishGrowthAndDriveMetrics)
@@ -444,8 +376,6 @@ TEST(RecordingSession, SwapsPublishGrowthAndDriveMetrics)
     EXPECT_EQ(metrics.counter("rec.sessions").value(), 1u);
     EXPECT_EQ(metrics.counter("rec.transitions").value(), fed);
     EXPECT_EQ(metrics.counter("rec.swaps").value(), sum.swaps);
-    EXPECT_GE(metrics.counter("rec.recompiles_incremental").value(), 1u);
-    EXPECT_GE(metrics.counter("rec.recompiles_full").value(), 1u);
     EXPECT_EQ(metrics.counter("rec.aborted").value(), 0u);
 
     // Finished and released: the name records again from scratch.
@@ -530,21 +460,14 @@ TEST(HotSwap, RacedReplaceNeverInvalidatesAPinnedReplay)
         });
     }
 
-    // Writer: publish growing automata through both the full and the
-    // incremental path, like a live RecordingSession would.
-    auto prevTea = std::make_shared<const Tea>(makeSyntheticTea(2));
-    auto prev = CompiledTea::compile(prevTea);
+    // Writer: publish growing (and, on wrap, shrinking) automata the
+    // way a live RecordingSession does: one compile, one replace.
+    std::shared_ptr<const CompiledTea> prev;
     for (int round = 0; round < 60; ++round) {
         size_t n = 2 + static_cast<size_t>(round % 20);
-        auto grown = std::make_shared<const Tea>(makeSyntheticTea(n + 1));
-        std::shared_ptr<const CompiledTea> next;
-        if (grown->numStates() > prev->numStates())
-            next = CompiledTea::recompile(grown, prev, true, 0.9, nullptr);
-        else
-            next = CompiledTea::compile(grown);
-        registry.replace("hot", next);
-        prev = next;
-        prevTea = grown;
+        prev = CompiledTea::compile(
+            std::make_shared<const Tea>(makeSyntheticTea(n + 1)));
+        registry.replace("hot", prev);
     }
     // Let the readers race the final image for a moment, then stop.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -574,8 +497,42 @@ TEST(RecordWire, EndToEndMatchesOfflineRecorder)
     TeaServer server(cfg);
     server.start();
 
+    // Mid-recording: stream about half, wait until the server has
+    // ingested it, and replay the name through both kernels from a
+    // second connection. The cut sits off the 500-transition swap
+    // grid, so the last transition ingested publishes nothing and the
+    // snapshot both replays resolve holds still.
+    RemoteReplayOptions reference;
+    reference.wantProfile = true;
+    reference.reference = true;
+    RemoteReplayOptions compiledK;
+    compiledK.wantProfile = true;
+    std::vector<uint8_t> log;
+    {
+        TraceLogWriter w(&log);
+        for (const BlockTransition &tr : stream)
+            w.append(tr);
+        w.finish();
+    }
     TeaClient client = TeaClient::connect(server.endpoint());
-    RemoteRecordResult res = client.record("gzip", stream);
+    client.recordBegin("gzip");
+    size_t half = stream.size() / 2 / 500 * 500 + 250;
+    client.recordChunk(stream.data(), half);
+    obs::Counter &ingested = server.metrics().counter("rec.transitions");
+    for (int spin = 0; spin < 1000 && ingested.value() < half; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(ingested.value(), half);
+    ASSERT_GE(server.metrics().counter("rec.swaps").value(), 1u);
+    {
+        TeaClient reader = TeaClient::connect(server.endpoint());
+        RemoteReplayResult midRef = reader.replay("gzip", log, reference);
+        RemoteReplayResult midFast = reader.replay("gzip", log, compiledK);
+        EXPECT_EQ(statsBytes(midRef.stats), statsBytes(midFast.stats));
+        EXPECT_EQ(midRef.execCounts, midFast.execCounts);
+        EXPECT_FALSE(midFast.execCounts.empty());
+    }
+    client.recordChunk(stream.data() + half, stream.size() - half);
+    RemoteRecordResult res = client.recordEnd();
     EXPECT_EQ(res.transitions, stream.size());
     EXPECT_EQ(res.traces, offline.traces().size());
     EXPECT_EQ(res.states, offline.tea().numStates());
@@ -584,19 +541,17 @@ TEST(RecordWire, EndToEndMatchesOfflineRecorder)
 
     // The recorded name replays like a PUT automaton — and the stats
     // match a local replay against the offline-grown automaton.
-    std::vector<uint8_t> log;
-    {
-        TraceLogWriter w(&log);
-        for (const BlockTransition &tr : stream)
-            w.append(tr);
-        w.finish();
-    }
     RemoteReplayResult remote = client.replay("gzip", log);
-    auto offTea = std::make_shared<const Tea>(offline.tea());
-    ReplayJob job{offTea, "", &log, CompiledTea::compile(offTea)};
+    auto offlineTea = std::make_shared<const Tea>(offline.tea());
+    ReplayJob job{offlineTea, "", &log, CompiledTea::compile(offlineTea)};
     StreamResult local = runReplayJob(job, LookupConfig{});
     ASSERT_TRUE(local.ok());
     EXPECT_EQ(statsBytes(remote.stats), statsBytes(local.stats));
+    // The published snapshot carries no Tea; the reference kernel
+    // rehydrates one and must match the compiled kernel exactly.
+    RemoteReplayResult finishedRef = client.replay("gzip", log, reference);
+    EXPECT_EQ(statsBytes(finishedRef.stats), statsBytes(local.stats));
+    EXPECT_EQ(finishedRef.execCounts, local.execCounts);
 
     // rec.* metrics surface through the STATS verb.
     std::string stats = client.stats(/*text=*/false);

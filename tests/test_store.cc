@@ -41,6 +41,7 @@
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
 #include "tea/replayer.hh"
+#include "tea/serialize.hh"
 #include "tea/teac.hh"
 #include "trace/factory.hh"
 #include "vm/machine.hh"
@@ -133,10 +134,10 @@ recordStream(const Program &prog)
 
 /** Record traces with the DBT side and build the automaton. */
 Tea
-recordTea(const Program &prog)
+recordTea(const Program &prog, const std::string &selector = "mret")
 {
     DbtRuntime dbt(prog);
-    return buildTea(dbt.record("mret").traces);
+    return buildTea(dbt.record(selector).traces);
 }
 
 /** Everything a kernel run exposes, for bit-identity comparison. */
@@ -252,15 +253,28 @@ TEST(TeacRoundTrip, SerializeOfMappedIsBitIdentical)
 
 TEST(TeacRoundTrip, RehydratedTeaMatchesSource)
 {
-    Tea tea = makeSyntheticTea(7);
-    CompiledTea ram(tea);
-    auto mapped = roundTrip(ram, "rehydrate");
-    Tea back = mapped->rehydrateTea();
-    ASSERT_EQ(back.numStates(), tea.numStates());
-    ASSERT_EQ(back.entries(), tea.entries());
-    for (StateId id = 1; id < tea.numStates(); ++id) {
-        EXPECT_EQ(back.state(id).start, tea.state(id).start);
-        EXPECT_EQ(back.state(id).succs, tea.state(id).succs);
+    // The image encodes the automaton once: the RAM compile and the
+    // mapped file both rebuild a Tea whose `.tea` bytes (block ends and
+    // loop-header bits included) and entry list match the source, for
+    // the synthetic automaton and every suite workload's under every
+    // selector.
+    auto check = [](const Tea &tea, const std::string &what) {
+        SCOPED_TRACE(what);
+        std::vector<uint8_t> want = saveTea(tea);
+        CompiledTea ram(tea);
+        auto mapped = roundTrip(ram, "rehydrate");
+        const CompiledTea *images[] = {&ram, mapped.get()};
+        for (const CompiledTea *c : images) {
+            Tea back = c->rehydrateTea();
+            EXPECT_TRUE(saveTea(back) == want);
+            EXPECT_EQ(back.entries(), tea.entries());
+        }
+    };
+    check(makeSyntheticTea(7), "synthetic");
+    for (const std::string &name : Workloads::names()) {
+        Workload w = Workloads::build(name, InputSize::Test);
+        for (const std::string &sel : selectorNames())
+            check(recordTea(w.program, sel), name + "/" + sel);
     }
 }
 
@@ -750,7 +764,7 @@ TEST(StoreServer, ColdStartServesByMmapWithoutRecompile)
     EXPECT_EQ(CompiledTea::compileCount(), compiles);
 
     // The reference-kernel flag forces a rehydrated Tea (the one path
-    // that reads the embedded source blob) — results stay identical.
+    // that reads the block records) — results stay identical.
     RemoteReplayOptions ropt;
     ropt.reference = true;
     got = client.replay("fleet-42", log, ropt);

@@ -13,10 +13,12 @@
  *    the same state sequence; they only differ in speed).
  *
  * The recorder's in-place growth is pinned two ways over every
- * (workload x selector) pair: after each install the live automaton
- * must serialize exactly like buildTea() over the recorded traces, and
- * each run's trace count, counters and `.tea` CRC must match a table
- * captured from the rebuild-per-install recorder this one replaced.
+ * (workload x selector) pair: after each install the live automaton,
+ * the compiled snapshot the recorder replays on (and publishes), and
+ * the Tea rehydrated from that snapshot must all serialize exactly
+ * like buildTea() over the recorded traces, and each run's trace
+ * count, counters and `.tea` CRC must match a table captured from the
+ * rebuild-per-install recorder this one replaced.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "tea/builder.hh"
+#include "tea/compiled.hh"
 #include "tea/recorder.hh"
 #include "tea/replayer.hh"
 #include "tea/serialize.hh"
@@ -597,9 +600,17 @@ TEST_P(RecorderGolden, InPlaceGrowthMatchesRebuildAndTable)
         if (recorder.installs() == installs)
             continue;
         installs = recorder.installs();
-        ASSERT_TRUE(saveTea(recorder.tea()) ==
-                    saveTea(buildTea(recorder.traces())))
+        Tea rebuilt = buildTea(recorder.traces());
+        std::vector<uint8_t> want = saveTea(rebuilt);
+        ASSERT_TRUE(saveTea(recorder.tea()) == want)
             << "grown automaton diverged from buildTea at install "
+            << installs;
+        ASSERT_TRUE(recorder.snapshot()->serialize() ==
+                    CompiledTea(rebuilt).serialize())
+            << "snapshot diverged from a compile of buildTea at install "
+            << installs;
+        ASSERT_TRUE(saveTea(recorder.snapshot()->rehydrateTea()) == want)
+            << "snapshot rehydrated a different Tea at install "
             << installs;
     }
 

@@ -141,8 +141,9 @@ TEST(TeacFuzz, MisalignedBufferIsFatal)
 
 TEST(TeacFuzz, EveryHeaderByteFlipIsFatal)
 {
-    // Any single-bit damage inside the header is caught by headerCrc —
-    // before any field is trusted for sizing or offsets.
+    // Any single-bit damage inside the header is caught by the version
+    // check or headerCrc — before any field is trusted for sizing or
+    // offsets.
     const auto good = goodImage(7);
     for (size_t pos = 0; pos < sizeof(TeacHeader); ++pos) {
         for (int bit = 0; bit < 8; ++bit) {
@@ -184,6 +185,11 @@ TEST(TeacFuzz, UnknownVersionIsFatalEvenWithValidCrc)
     EXPECT_THROW(
         parseImage(withHeader(good, [](TeacHeader &h) { h.version = 0; })),
         FatalError);
+    // Version 1 (an embedded `.tea` copy, another header layout) is
+    // rejected, not migrated.
+    EXPECT_THROW(
+        parseImage(withHeader(good, [](TeacHeader &h) { h.version = 1; })),
+        FatalError);
 }
 
 TEST(TeacFuzz, UnknownFlagsAndReservedBitsAreFatal)
@@ -196,17 +202,6 @@ TEST(TeacFuzz, UnknownFlagsAndReservedBitsAreFatal)
                  FatalError);
     EXPECT_THROW(parseImage(withHeader(
                      good, [](TeacHeader &h) { h.reserved = 1; })),
-                 FatalError);
-}
-
-TEST(TeacFuzz, WrongSourceHashIsFatalEvenWithValidCrc)
-{
-    // The embedded source automaton must hash to what the header
-    // claims — a mismatched blob (e.g. a partially overwritten file
-    // assembled from two snapshots) must not rehydrate.
-    const auto good = goodImage(4);
-    EXPECT_THROW(parseImage(withHeader(
-                     good, [](TeacHeader &h) { h.sourceHash ^= 0x1; })),
                  FatalError);
 }
 
@@ -227,18 +222,19 @@ TEST(TeacFuzz, GeometryTamperingIsFatalEvenWithValidCrc)
     tamper([](TeacHeader &h) { h.hashCap = 0; });
     tamper([](TeacHeader &h) { h.hashCap = h.hashCap + 1; }); // not pow2
     tamper([](TeacHeader &h) { h.nEntries = h.hashCap; }); // probe loop
-    tamper([](TeacHeader &h) { h.teaBytes += 8; });
     tamper([](TeacHeader &h) { h.payloadBytes += 8; });
     tamper([](TeacHeader &h) { h.offSuccs += 8; });
     tamper([](TeacHeader &h) { h.offStateStart -= 8; });
+    tamper([](TeacHeader &h) { h.offStateMeta += 8; });
     tamper([](TeacHeader &h) { h.offHashSlots += 8; });
     tamper([](TeacHeader &h) { h.offEntries += 8; });
-    tamper([](TeacHeader &h) { h.offTea += 8; });
+    tamper([](TeacHeader &h) { h.offStateBlock -= 8; });
 }
 
 /** Write bytes to a temp path and load through the store's file path. */
 std::shared_ptr<const CompiledTea>
-loadViaFile(const std::vector<uint8_t> &bytes, const std::string &tag)
+loadViaFile(const std::vector<uint8_t> &bytes, const std::string &tag,
+            bool verifyPayload = true)
 {
     std::string path = ::testing::TempDir() + "teac_fuzz_" + tag +
                        "_" + std::to_string(::getpid()) + ".teac";
@@ -251,9 +247,56 @@ loadViaFile(const std::vector<uint8_t> &bytes, const std::string &tag)
         fatal("short write to '%s'", path.c_str());
     }
     std::fclose(f);
-    auto compiled = CompiledTea::fromFile(path);
+    auto compiled = CompiledTea::fromFile(path, verifyPayload);
     std::remove(path.c_str());
     return compiled;
+}
+
+/** Tamper with payload words at byte `off`, then fix every CRC. */
+template <typename Fn>
+std::vector<uint8_t>
+withPayload(const std::vector<uint8_t> &good, uint64_t off, Fn mutate)
+{
+    std::vector<uint8_t> bad = good;
+    mutate(reinterpret_cast<uint32_t *>(bad.data() + sizeof(TeacHeader) +
+                                        off));
+    fixupAllCrcs(bad);
+    return bad;
+}
+
+TEST(TeacFuzz, TamperedBlockRecordIsFatalEvenWithValidCrc)
+{
+    // The per-state block records (end address, flags) are read only
+    // by rehydrateTea(), but the strict tier still pins their shape:
+    // NTE has none, and flags carry the loop-header bit alone. A record
+    // with a recomputed CRC that breaks either rule is rejected; the
+    // serving tier leaves their pages alone, so rehydrateTea() rejects
+    // the unknown flag itself.
+    const auto good = goodImage(4);
+    TeacHeader h;
+    std::memcpy(&h, good.data(), sizeof h);
+    uint64_t nte = h.offStateBlock;
+    uint64_t first = h.offStateBlock + sizeof(CompiledTea::StateBlock);
+    EXPECT_NO_THROW(parseImage(withPayload(good, first, [](uint32_t *w) {
+        w[1] ^= CompiledTea::kLoopHeaderFlag; // a legal (CRC-only) flip
+    })));
+    EXPECT_THROW(parseImage(withPayload(good, nte,
+                                        [](uint32_t *w) { w[0] = 0x40; })),
+                 FatalError);
+    EXPECT_THROW(parseImage(withPayload(good, nte,
+                                        [](uint32_t *w) { w[1] = 1; })),
+                 FatalError);
+    auto unknownFlag =
+        withPayload(good, first, [](uint32_t *w) { w[1] = 2; });
+    EXPECT_THROW(parseImage(unknownFlag), FatalError);
+    EXPECT_THROW(loadViaFile(unknownFlag, "flag", false)->rehydrateTea(),
+                 FatalError);
+
+    // A state identity the audit leaves to the CRC: two states claiming
+    // one (trace, tbb) parse, but can never rehydrate into a Tea.
+    uint64_t second = h.offStateMeta + 2 * sizeof(CompiledTea::StateMeta);
+    auto twin = withPayload(good, second, [](uint32_t *w) { w[1] = 0; });
+    EXPECT_THROW(loadViaFile(twin, "twin")->rehydrateTea(), FatalError);
 }
 
 class TeacStructuralFuzz : public ::testing::TestWithParam<uint64_t>
@@ -268,7 +311,8 @@ TEST_P(TeacStructuralFuzz, RecomputedCrcsNeverPanicOrMisload)
     // monotonicity, succ-label cross-checks, hash/entry agreement);
     // whatever survives must load into a snapshot whose lookup
     // structures still agree with each other — never crash, never
-    // probe out of bounds, never let the two lookup modes diverge.
+    // probe out of bounds, never let the two lookup modes diverge —
+    // and must rehydrate into a Tea or fail with a FatalError.
     const auto good = goodImage(11);
     const Tea source = makeSyntheticTea(11);
     Xorshift64Star rng(GetParam());
@@ -301,6 +345,8 @@ TEST_P(TeacStructuralFuzz, RecomputedCrcsNeverPanicOrMisload)
                     ASSERT_GT(p->target, Tea::kNteState);
                     ASSERT_LT(p->target, compiled->numStates());
                 }
+            Tea back = compiled->rehydrateTea();
+            EXPECT_EQ(back.numStates(), compiled->numStates());
         } catch (const FatalError &) {
             // expected for corrupt data
         }

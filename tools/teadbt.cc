@@ -1100,7 +1100,6 @@ cmdInspect(const Options &opt)
         w.key("succs").value(h.nSuccs);
         w.key("entries").value(h.nEntries);
         w.key("hashCap").value(h.hashCap);
-        w.key("teaBytes").value(h.teaBytes);
         w.key("payloadBytes").value(h.payloadBytes);
         w.key("offSuccOffset").value(h.offSuccOffset);
         w.key("offSuccs").value(h.offSuccs);
@@ -1108,8 +1107,7 @@ cmdInspect(const Options &opt)
         w.key("offStateMeta").value(h.offStateMeta);
         w.key("offHashSlots").value(h.offHashSlots);
         w.key("offEntries").value(h.offEntries);
-        w.key("offTea").value(h.offTea);
-        w.key("sourceHash").value(h.sourceHash);
+        w.key("offStateBlock").value(h.offStateBlock);
         w.key("payloadCrc").value(h.payloadCrc);
         w.key("headerCrc").value(h.headerCrc);
         w.key("valid").value(true);
@@ -1137,13 +1135,13 @@ cmdInspect(const Options &opt)
                 static_cast<unsigned long long>(h.offStateStart),
                 static_cast<unsigned long long>(h.offStateMeta));
     std::printf("              hashSlots@%llu entries@%llu "
-                "tea@%llu (%u bytes embedded)\n",
+                "stateBlock@%llu\n",
                 static_cast<unsigned long long>(h.offHashSlots),
                 static_cast<unsigned long long>(h.offEntries),
-                static_cast<unsigned long long>(h.offTea), h.teaBytes);
-    std::printf("  checksums   header 0x%08x, payload 0x%08x, "
-                "source 0x%08x (all verified)\n",
-                h.headerCrc, h.payloadCrc, h.sourceHash);
+                static_cast<unsigned long long>(h.offStateBlock));
+    std::printf("  checksums   header 0x%08x, payload 0x%08x "
+                "(both verified)\n",
+                h.headerCrc, h.payloadCrc);
     return 0;
 }
 
@@ -1363,9 +1361,9 @@ cmdRemoteReplay(const Options &opt)
     ropt.noLocal = opt.noLocal;
     ropt.reference = opt.reference;
 
-    std::vector<uint8_t> teaBytes;
+    std::vector<uint8_t> teaImage;
     if (!opt.putFile.empty())
-        teaBytes = readFileBytes(opt.putFile);
+        teaImage = readFileBytes(opt.putFile);
 
     std::vector<StreamReport> reports;
     ReplayStats total;
@@ -1388,8 +1386,8 @@ cmdRemoteReplay(const Options &opt)
                 job.log = bytes.data();
                 job.len = bytes.size();
                 job.opt = ropt;
-                if (!teaBytes.empty())
-                    job.teaBytes = &teaBytes;
+                if (!teaImage.empty())
+                    job.teaImage = &teaImage;
                 rep.stats = replayWithRetry(job, policy).stats;
                 total += rep.stats;
             } catch (const FatalError &e) {
@@ -1401,8 +1399,8 @@ cmdRemoteReplay(const Options &opt)
         }
     } else {
         TeaClient client = TeaClient::connect(opt.endpoint);
-        if (!teaBytes.empty()) {
-            client.putAutomaton(name, teaBytes);
+        if (!teaImage.empty()) {
+            client.putAutomaton(name, teaImage);
             if (!opt.json)
                 std::printf("uploaded %s as '%s'\n", opt.putFile.c_str(),
                             name.c_str());
