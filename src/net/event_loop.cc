@@ -282,10 +282,8 @@ struct EventLoop::Conn
     std::vector<uint8_t> wq;
     size_t wqOff = 0;
 
-    // Consume-task handoff (worker-owned while processing). rdbuf is
-    // allocated on the first dispatch and capped at one read chunk, so
-    // a connection that never sends costs no buffer at all.
-    std::vector<uint8_t> rdbuf;
+    // Consume-task handoff (worker-owned while processing). Read bytes
+    // have no buffer here: they land in the session's frame decoder.
     std::vector<uint8_t> replies;
     bool taskKeep = true;
     bool taskMid = false;
@@ -512,7 +510,13 @@ EventLoop::handleReadable(Conn *c)
     // spurious/level-triggered leftovers land here harmlessly).
     if (c->processing || c->stalled || c->closing || c->peerGone)
         return;
-    Socket::IoResult res = c->sock.recvNb(readScratch_.data(), kReadChunk);
+    // A wire-protocol connection reads straight into its session's
+    // frame decoder; the first bytes (the protocol sniff) and HTTP
+    // requests land in the loop's scratch.
+    bool direct = c->protoKnown && !c->isHttp;
+    uint8_t *dst = direct ? c->session->receiveBuffer(kReadChunk)
+                          : readScratch_.data();
+    Socket::IoResult res = c->sock.recvNb(dst, kReadChunk);
     if (res.wouldBlock)
         return; // spurious readiness: nothing was there after all
     if (res.closed || res.n == 0) {
@@ -531,6 +535,7 @@ EventLoop::handleReadable(Conn *c)
     srv.mBytesIn->inc(res.n);
     uint64_t now = steadyMs();
     c->lastActivityMs = now;
+    size_t received = res.n;
     if (!c->protoKnown) {
         if (!classifyProtocol(c, readScratch_.data(), res.n))
             return; // fewer than four bytes so far; keep buffering
@@ -542,14 +547,10 @@ EventLoop::handleReadable(Conn *c)
             handleHttpBytes(c, prefix.data(), prefix.size());
             return;
         }
-        if (!c->midRequest) {
-            c->requestStartMs = now;
-            c->requestStartNs = obs::monotonicNanos();
-        }
-        dispatchConsume(c, prefix.data(), prefix.size());
-        return;
-    }
-    if (c->isHttp) {
+        std::memcpy(c->session->receiveBuffer(prefix.size()),
+                    prefix.data(), prefix.size());
+        received = prefix.size();
+    } else if (c->isHttp) {
         handleHttpBytes(c, readScratch_.data(), res.n);
         return;
     }
@@ -557,7 +558,7 @@ EventLoop::handleReadable(Conn *c)
         c->requestStartMs = now;
         c->requestStartNs = obs::monotonicNanos();
     }
-    dispatchConsume(c, readScratch_.data(), res.n);
+    dispatchConsume(c, received);
 }
 
 bool
@@ -656,9 +657,8 @@ EventLoop::serveHttp(Conn *c, const std::string &target)
 }
 
 void
-EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
+EventLoop::dispatchConsume(Conn *c, size_t n)
 {
-    c->rdbuf.assign(data, data + n);
     c->processing = true;
     c->wantIn = false; // no reads until the session is ours again
     updateInterest(c);
@@ -666,7 +666,7 @@ EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
     // With nothing queued for the peer the loop does not touch this
     // socket again until the completion, so the task may read on.
     bool mayReadOn = c->wq.size() == c->wqOff;
-    srv.pool.submit([this, c, mayReadOn] {
+    srv.pool.submit([this, c, n, mayReadOn] {
         if (srv.svcObs_.spans != nullptr) {
             obs::Span d;
             d.conn = c->id;
@@ -678,8 +678,7 @@ EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
         c->replies.clear();
         bool keep = false;
         try {
-            keep = c->session->consume(c->rdbuf.data(), c->rdbuf.size(),
-                                       c->replies);
+            keep = c->session->consumeReceived(n, c->replies);
             // Read on while the peer streams and is owed nothing. Handing
             // the connection back to the loop after each 64 KiB read
             // costs two cross-thread wakeups (44-48 round trips for a
@@ -690,21 +689,19 @@ EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
             size_t budget = mayReadOn ? kReadOnBytes : 0;
             while (keep && c->replies.empty() && budget > 0 &&
                    !srv.draining()) {
-                c->rdbuf.resize(kReadChunk);
-                Socket::IoResult res =
-                    c->sock.recvNb(c->rdbuf.data(), kReadChunk);
+                Socket::IoResult res = c->sock.recvNb(
+                    c->session->receiveBuffer(kReadChunk), kReadChunk);
                 if (res.n == 0)
                     break; // would-block, EOF or reset: the loop's next
                            // read sees the same and handles it
                 srv.mBytesIn->inc(res.n);
                 budget -= std::min(budget, res.n);
-                keep = c->session->consume(c->rdbuf.data(), res.n,
-                                           c->replies);
+                keep = c->session->consumeReceived(res.n, c->replies);
             }
         } catch (const FatalError &) {
-            // Session::consume contractually does not throw FatalError;
-            // if a library bug ever breaks that, fail the connection,
-            // not the server.
+            // Session::consumeReceived contractually does not throw
+            // FatalError; if a library bug ever breaks that, fail the
+            // connection, not the server.
         }
         c->taskKeep = keep;
         c->taskMid = c->session->midRequest();

@@ -16,14 +16,18 @@
  *
  * - every Conn field is owned by the loop thread, EXCEPT while a
  *   consume task is in flight (`processing == true`), when the worker
- *   exclusively owns `session`, `rdbuf`, `replies`, and the task*
- *   result fields — the loop does not touch them until the completion
- *   is dequeued (the completion mutex orders the handoff both ways);
+ *   exclusively owns `session`, `replies`, and the task* result fields
+ *   — the loop does not touch them until the completion is dequeued
+ *   (the completion mutex orders the handoff both ways);
  * - the pool touches a socket only to read on: a task dispatched with
  *   no bytes queued for its peer reads more from its own socket while
  *   its session owes no reply, so a streamed request is one task, not
  *   one loop round trip per read; the loop does no I/O on that socket
- *   until the completion. The loop never runs a replay.
+ *   until the completion. The loop never runs a replay;
+ * - reads are never staged: the loop's read that starts a task and the
+ *   task's reads on both land in the session's frame decoder
+ *   (Session::receiveBuffer), so each wire byte is read once and first
+ *   copied when the session files a REPLAY_CHUNK in its stream log.
  *
  * Robustness mechanics, all loop-local and lock-free:
  *
@@ -185,7 +189,8 @@ class EventLoop
     void handleHttpBytes(Conn *c, const uint8_t *data, size_t n);
     /** Route one parsed request target and queue the response. */
     void serveHttp(Conn *c, const std::string &target);
-    void dispatchConsume(Conn *c, const uint8_t *data, size_t n);
+    /** Hand the `n` bytes just read into c's session to a worker. */
+    void dispatchConsume(Conn *c, size_t n);
     void drainCompletions();
     void completeConsume(Conn *c);
     void handleTimer(uint64_t key);
@@ -210,10 +215,10 @@ class EventLoop
     TimerWheel wheel_;
     Xorshift64Star loopRng_; ///< spurious-readiness draws (chaos only)
     /**
-     * The loop's single read scratch: recvNb lands here, then the
-     * bytes are copied into the connection's own (lazily allocated)
-     * buffer for the worker. One buffer for the whole loop keeps an
-     * idle connection's footprint at a few hundred bytes — the 10k-
+     * The loop's single read scratch, for a connection's first bytes
+     * (the protocol sniff) and for HTTP requests; wire-protocol reads
+     * land in the session's frame decoder instead. A connection that
+     * never sends therefore holds no read buffer at all — the 10k-
      * connection smoke test depends on that.
      */
     std::vector<uint8_t> readScratch_;

@@ -1,5 +1,6 @@
 #include "net/frame.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/crc32.hh"
@@ -48,13 +49,49 @@ appendFrame(std::vector<uint8_t> &out, MsgType type,
 void
 FrameDecoder::feed(const uint8_t *data, size_t len)
 {
-    // Compact once the consumed prefix dominates, to keep the buffer
-    // bounded by outstanding (not total) bytes.
-    if (head > 4096 && head > buf.size() / 2) {
-        buf.erase(buf.begin(), buf.begin() + static_cast<long>(head));
+    if (len == 0)
+        return;
+    std::memcpy(reserve(len), data, len);
+    commit(len);
+}
+
+uint8_t *
+FrameDecoder::reserve(size_t n)
+{
+    // Keep the buffer bounded by outstanding (not total) bytes: restart
+    // at the front once everything is consumed, and compact once the
+    // consumed prefix dominates — then only the tail of the last read
+    // (the start of the next frame) moves.
+    size_t live = tail - head;
+    if (live == 0 || (head > 4096 && head > tail / 2)) {
+        if (live != 0)
+            std::memmove(buf.get(), buf.get() + head, live);
         head = 0;
+        tail = live;
     }
-    buf.insert(buf.end(), data, data + len);
+    if (cap - tail < n) {
+        size_t want = std::max(live + n, 2 * cap);
+        auto grown = std::make_unique_for_overwrite<uint8_t[]>(want);
+        if (live != 0)
+            std::memcpy(grown.get(), buf.get() + head, live);
+        buf = std::move(grown);
+        cap = want;
+        head = 0;
+        tail = live;
+    }
+    reserved = n;
+    return buf.get() + tail;
+}
+
+void
+FrameDecoder::commit(size_t n)
+{
+    if (n > reserved)
+        panic("frame decoder: commit of %zu bytes exceeds the %zu "
+              "reserved",
+              n, reserved);
+    tail += n;
+    reserved = 0;
 }
 
 bool
@@ -64,7 +101,7 @@ FrameDecoder::poll(FrameView &out)
         fatal("frame decoder: stream already failed framing");
     if (buffered() < 4)
         return false;
-    const uint8_t *p = buf.data() + head;
+    const uint8_t *p = buf.get() + head;
     uint32_t bodyLen = getU32(p);
     if (bodyLen == 0 || bodyLen > Wire::kMaxPayload + 1) {
         poisoned = true;

@@ -83,6 +83,7 @@
 #define TEA_NET_FRAME_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -183,9 +184,9 @@ struct Frame
 
 /**
  * One decoded frame, viewed in place in the FrameDecoder's buffer:
- * `payload` stays valid until the next feed() on that decoder. Later
- * poll() calls never move it, so several views from one feed() hold
- * their bytes side by side.
+ * `payload` stays valid until the next feed() or reserve() on that
+ * decoder. Later poll() calls never move it, so several views from
+ * one batch of bytes hold their bytes side by side.
  */
 struct FrameView
 {
@@ -218,6 +219,11 @@ appendFrame(std::vector<uint8_t> &out, MsgType type,
  * once, straight into its stream log), and poll(Frame &) wraps it with
  * an owning copy for callers that keep frames past the next feed()
  * (TeaClient).
+ *
+ * Bytes enter two ways: feed() copies them in, and the reserve()/
+ * commit() pair lets a socket read land in the buffer directly — the
+ * server's read path, where every wire byte is read once and copied
+ * nowhere before it is parsed.
  */
 class FrameDecoder
 {
@@ -226,8 +232,21 @@ class FrameDecoder
     void feed(const uint8_t *data, size_t len);
 
     /**
+     * Room for `n` more bytes at the buffer's tail: write up to `n`
+     * bytes there, then commit() how many. Invalidates every FrameView
+     * polled before it, as feed() does. The room is uninitialized
+     * memory, so an idle connection's unwritten room costs no
+     * resident pages.
+     */
+    uint8_t *reserve(size_t n);
+
+    /** Append the first `n` bytes written into the last reserve(). */
+    void commit(size_t n);
+
+    /**
      * @return true and point `out` into the buffer when a complete
      *         frame is buffered; the view lives until the next feed()
+     *         or reserve()
      * @throws FatalError on malformed framing
      */
     bool poll(FrameView &out);
@@ -236,14 +255,17 @@ class FrameDecoder
     bool poll(Frame &out);
 
     /** True when no partial frame is buffered (a clean cut point). */
-    bool atBoundary() const { return buf.size() == head; }
+    bool atBoundary() const { return tail == head; }
 
     /** Bytes buffered but not yet consumed. */
-    size_t buffered() const { return buf.size() - head; }
+    size_t buffered() const { return tail - head; }
 
   private:
-    std::vector<uint8_t> buf;
-    size_t head = 0; ///< consumed prefix of buf
+    std::unique_ptr<uint8_t[]> buf; ///< uninitialized past `tail`
+    size_t cap = 0;      ///< bytes allocated at buf
+    size_t head = 0;     ///< consumed prefix of buf
+    size_t tail = 0;     ///< end of the buffered bytes
+    size_t reserved = 0; ///< room handed out by the last reserve()
     bool poisoned = false;
 };
 

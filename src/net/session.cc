@@ -65,9 +65,18 @@ Session::consume(const uint8_t *data, size_t len,
     if (state == State::Closed)
         return false;
     decoder.feed(data, len);
+    return consumeReceived(0, out);
+}
+
+bool
+Session::consumeReceived(size_t n, std::vector<uint8_t> &out)
+{
+    if (state == State::Closed)
+        return false;
+    decoder.commit(n);
     for (;;) {
-        // A view into the decoder's buffer: no feed() happens until
-        // this call returns, so it stays valid through onFrame().
+        // A view into the decoder's buffer: no bytes arrive until this
+        // call returns, so it stays valid through onFrame().
         FrameView frame;
         uint64_t t0 = traced() ? obs::monotonicNanos() : 0;
         try {

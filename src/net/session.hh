@@ -18,9 +18,9 @@
  *   (unknown automaton, corrupt TEA bytes, corrupt trace log, bad
  *   payload shape) append a non-fatal ERROR reply and keep the session
  *   alive — the frame boundary is still trustworthy;
- * - consume() itself never throws FatalError: every failure becomes an
- *   ERROR frame or a closed session. (PanicError still propagates —
- *   that is a library bug, not an input.)
+ * - consume() and consumeReceived() never throw FatalError: every
+ *   failure becomes an ERROR frame or a closed session. (PanicError
+ *   still propagates — that is a library bug, not an input.)
  *
  * Replays run inline on the calling thread — the server runs
  * consume() on its worker pool, so a REPLAY_END does its work on a pool
@@ -84,6 +84,17 @@ class Session
      */
     bool consume(const uint8_t *data, size_t len,
                  std::vector<uint8_t> &out);
+
+    /**
+     * Room for up to `n` wire bytes inside the frame decoder. The
+     * server reads its socket straight into it and hands the count to
+     * consumeReceived(), so each wire byte is read once and never
+     * staged; consume() is the copying form of the same pair.
+     */
+    uint8_t *receiveBuffer(size_t n) { return decoder.reserve(n); }
+
+    /** consume() for `n` bytes just read into receiveBuffer(). */
+    bool consumeReceived(size_t n, std::vector<uint8_t> &out);
 
     /** True once a HELLO has been accepted. */
     bool handshaken() const { return state != State::ExpectHello; }

@@ -41,24 +41,23 @@ runReplayJob(const ReplayJob &job, LookupConfig cfg)
         TeaReplayer replayer =
             job.tea ? TeaReplayer(*job.tea, cfg, job.compiled)
                     : TeaReplayer(job.compiled, cfg);
-        // Feed whole decoded chunks: the batch decode kernel fills the
-        // reader's chunk buffer and feedAll() consumes it in place —
-        // no per-record copy between decode and replay. The per-phase
-        // clock is stamped only at chunk boundaries — three reads per
-        // kChunkRecords transitions, nothing in the transition loop
-        // itself (the ≤3% instrumentation budget that
+        // Strict jobs walk each validated chunk straight into the
+        // kernel (no decoded chunk is stored); salvage jobs decode a
+        // chunk whole before feeding it, so a torn chunk feeds
+        // nothing. The phase clock is stamped only at chunk
+        // boundaries: three reads per chunk, nothing in the transition
+        // loop itself (the ≤3% instrumentation budget that
         // bench/svc_throughput enforces).
         for (;;) {
             uint64_t t0 = obs::monotonicNanos();
-            const std::vector<BlockTransition> *buf = reader.nextChunk();
+            bool more = reader.validateChunk();
             uint64_t t1 = obs::monotonicNanos();
-            res.decodeNs += t1 - t0;
-            if (buf == nullptr)
+            res.validateNs += t1 - t0;
+            if (!more)
                 break;
-            replayer.feedAll(buf->data(), buf->data() + buf->size());
-            uint64_t t2 = obs::monotonicNanos();
-            res.replayNs += t2 - t1;
-            ++res.batches;
+            if (reader.replayChunk(replayer))
+                ++res.batches;
+            res.walkNs += obs::monotonicNanos() - t1;
         }
         if (reader.torn()) {
             res.salvaged = true;

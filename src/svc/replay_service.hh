@@ -94,24 +94,24 @@ struct StreamResult
     uint64_t salvageBytesDropped = 0;
 
     /**
-     * Per-phase wall-clock profile, stamped only at feedAll() batch
-     * boundaries so no clock read lands in the transition loop.
-     * Deliberately *not* part of ReplayStats: stats stay pure event
-     * counts with a defaulted operator== (the determinism checks and
-     * the 11-u64 wire encoding depend on that), while timing is
-     * scheduler noise that may differ between identical runs.
+     * Per-phase wall-clock profile, stamped only at chunk boundaries
+     * so no clock read lands in the transition loop. Deliberately
+     * *not* part of ReplayStats: stats stay pure event counts with a
+     * defaulted operator== (the determinism checks and the 11-u64 wire
+     * encoding depend on that), while timing is scheduler noise that
+     * may differ between identical runs.
      */
-    uint64_t decodeNs = 0; ///< log decode time (TraceLogReader::next)
-    uint64_t replayNs = 0; ///< kernel time (feedAll)
-    uint64_t batches = 0;  ///< feedAll() calls made
+    uint64_t validateNs = 0; ///< chunk framing + CRC (validateChunk)
+    uint64_t walkNs = 0;     ///< decode + transition walk (replayChunk)
+    uint64_t batches = 0;    ///< chunks walked into the replayer
 
-    /** Transition rate over the replay phase, for profiling reports. */
+    /** Transition rate over the walk phase, for profiling reports. */
     double
     transitionsPerSec() const
     {
-        return replayNs == 0 ? 0.0
-                             : static_cast<double>(stats.transitions) *
-                                   1e9 / static_cast<double>(replayNs);
+        return walkNs == 0 ? 0.0
+                           : static_cast<double>(stats.transitions) *
+                                 1e9 / static_cast<double>(walkNs);
     }
 
     bool ok() const { return error.empty(); }

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "tea/compiled.hh"
+#include "tea/replayer.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/mmap.hh"
@@ -60,18 +61,6 @@ rd64(const uint8_t *data, size_t len, size_t &cursor)
     uint64_t hi = rd32(data, len, cursor);
     return lo | (hi << 32);
 }
-
-/**
- * Force the per-record decoders into the chunk loop: at -O2 GCC
- * outlines them (the cold fatal() paths inflate their size estimate),
- * and the call/return alone costs a measurable share of the decode
- * budget at a few ns per record.
- */
-#if defined(__GNUC__)
-#define TEA_HOT_INLINE inline __attribute__((always_inline))
-#else
-#define TEA_HOT_INLINE inline
-#endif
 
 constexpr uint8_t kMaxEdgeKind = static_cast<uint8_t>(EdgeKind::Halt);
 
@@ -517,6 +506,118 @@ sameTransition(const BlockTransition &a, const BlockTransition &b)
            a.toStart == b.toStart;
 }
 
+// ------------------------------------------------------- the codec loop
+//
+// One pull cursor per encoding: next() decodes the chunk's next record.
+// walkChunk() hands the chunk's cursor to a sink that pulls exactly
+// `records` of them — decodeChunk() stores each one, the reader's
+// strict replay walk (TraceLogReader::replayChunk) feeds each one to
+// the kernel as it comes — so every consumer of a chunk runs the same
+// codec.
+
+struct RawCursor
+{
+    ByteReader r;
+
+    TEA_HOT_INLINE BlockTransition next() { return decodeRawRecord(r); }
+};
+
+struct DeltaCursor
+{
+    ByteReader r;
+    DeltaState &st;
+
+    TEA_HOT_INLINE BlockTransition
+    next()
+    {
+        return decodeDeltaRecord(r, st);
+    }
+};
+
+struct ElidedCursor
+{
+    ByteReader r;
+    DeltaState &st;
+    const CompiledTea &ct;
+    const uint8_t *bits; ///< one prediction bit per record
+    uint32_t i = 0;      ///< index of the next record
+
+    TEA_HOT_INLINE BlockTransition
+    next()
+    {
+        BlockTransition tr;
+        if ((bits[i >> 3] >> (i & 7)) & 1) {
+            if (!predictRecord(ct, st, tr))
+                fatal("tracelog: elided record %u is not predictable", i);
+            st.prevTo = tr.toStart;
+        } else {
+            tr = decodeDeltaRecord(r, st);
+        }
+        notePredictorTables(st, tr);
+        st.pred = predictAdvance(ct, st.pred, tr.toStart);
+        ++i;
+        return tr;
+    }
+};
+
+/**
+ * The decoder's per-thread codec state. It resets at every chunk and
+ * keeps its capacity, so steady-state decode allocates nothing.
+ */
+DeltaState &
+decodeScratch()
+{
+    thread_local DeltaState st;
+    st.reset();
+    return st;
+}
+
+/**
+ * Decode one CRC-validated chunk into `sink(cursor, chunk.records)`,
+ * then insist that the records consumed the payload exactly.
+ */
+template <class Sink>
+TEA_HOT_INLINE void
+walkChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
+          Sink &&sink)
+{
+    ByteReader r{chunk.payload, chunk.payload + chunk.size};
+    switch (chunk.encoding) {
+    case ChunkEncoding::Raw: {
+        RawCursor cur{r};
+        sink(cur, chunk.records);
+        r = cur.r;
+        break;
+    }
+    case ChunkEncoding::Delta: {
+        DeltaCursor cur{r, decodeScratch()};
+        sink(cur, chunk.records);
+        r = cur.r;
+        break;
+    }
+    case ChunkEncoding::Elided: {
+        if (automaton == nullptr)
+            fatal("tracelog: elided chunk needs the recording "
+                  "automaton");
+        size_t nbits = (static_cast<size_t>(chunk.records) + 7) / 8;
+        if (chunk.size < nbits)
+            fatal("tracelog: truncated elision bitset");
+        ElidedCursor cur{{chunk.payload + nbits, r.end},
+                         decodeScratch(),
+                         *automaton,
+                         chunk.payload};
+        sink(cur, chunk.records);
+        r = cur.r;
+        break;
+    }
+    default:
+        fatal("tracelog: bad chunk encoding %u",
+              static_cast<unsigned>(chunk.encoding));
+    }
+    if (r.p != r.end)
+        fatal("tracelog: %zu undecoded payload bytes", r.left());
+}
+
 } // namespace
 
 void
@@ -579,53 +680,10 @@ decodeChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
     size_t base = out.size();
     out.resize(base + chunk.records);
     BlockTransition *dst = out.data() + base;
-    ByteReader r{chunk.payload, chunk.payload + chunk.size};
-    switch (chunk.encoding) {
-    case ChunkEncoding::Raw:
-        for (uint32_t i = 0; i < chunk.records; ++i)
-            dst[i] = decodeRawRecord(r);
-        break;
-    case ChunkEncoding::Delta: {
-        thread_local DeltaState st;
-        st.reset();
-        for (uint32_t i = 0; i < chunk.records; ++i)
-            dst[i] = decodeDeltaRecord(r, st);
-        break;
-    }
-    case ChunkEncoding::Elided: {
-        if (automaton == nullptr)
-            fatal("tracelog: elided chunk needs the recording "
-                  "automaton");
-        const CompiledTea &ct = *automaton;
-        size_t nbits = (static_cast<size_t>(chunk.records) + 7) / 8;
-        if (chunk.size < nbits)
-            fatal("tracelog: truncated elision bitset");
-        const uint8_t *bits = chunk.payload;
-        r.p = chunk.payload + nbits;
-        thread_local DeltaState st;
-        st.reset();
-        for (uint32_t i = 0; i < chunk.records; ++i) {
-            BlockTransition &tr = dst[i];
-            if ((bits[i >> 3] >> (i & 7)) & 1) {
-                if (!predictRecord(ct, st, tr))
-                    fatal("tracelog: elided record %u is not "
-                          "predictable",
-                          i);
-                st.prevTo = tr.toStart;
-            } else {
-                tr = decodeDeltaRecord(r, st);
-            }
-            notePredictorTables(st, tr);
-            st.pred = predictAdvance(ct, st.pred, tr.toStart);
-        }
-        break;
-    }
-    default:
-        fatal("tracelog: bad chunk encoding %u",
-              static_cast<unsigned>(chunk.encoding));
-    }
-    if (r.p != r.end)
-        fatal("tracelog: %zu undecoded payload bytes", r.left());
+    walkChunk(chunk, automaton, [dst](auto &cur, uint32_t n) {
+        for (uint32_t i = 0; i < n; ++i)
+            dst[i] = cur.next();
+    });
 }
 
 // ------------------------------------------------------- chunk frames
@@ -933,56 +991,94 @@ TraceLogReader::openFile(const std::string &path, Mode m,
     return reader;
 }
 
-void
-TraceLogReader::loadChunk()
+bool
+TraceLogReader::validateChunk()
 {
-    if (mode == Mode::Salvage) {
-        size_t chunkStart = cursor;
-        try {
-            loadChunkStrict();
-        } catch (const FatalError &e) {
-            // The chunk starting at chunkStart is torn: drop any
-            // half-decoded records (they were never CRC-validated in
-            // full) and end the stream at the last good chunk.
-            chunk.clear();
-            chunkPos = 0;
+    TEA_ASSERT(!validated, "tracelog: chunk validated twice");
+    if (done)
+        return false;
+    chunkStart = cursor;
+    try {
+        if (readTrailer(data, len, cursor, decoded)) {
             done = true;
-            torn_ = true;
-            tornReason_ = e.what();
-            discarded = len - chunkStart;
+            return false;
         }
-        return;
+        view = readChunkFrame(data, len, cursor, version_);
+    } catch (const FatalError &e) {
+        if (mode == Mode::Strict)
+            throw;
+        tear(e.what());
+        return false;
     }
-    loadChunkStrict();
+    // The trailer check counts chunks as they validate: a chunk that
+    // then fails to decode fails (or, salvaging, ends) the stream
+    // before the trailer is read.
+    decoded += view.records;
+    validated = true;
+    return true;
+}
+
+bool
+TraceLogReader::decodeValidated()
+{
+    validated = false;
+    chunk.clear();
+    chunkPos = 0;
+    try {
+        // A record that would read past the payload fails as
+        // truncation instead of bleeding into the CRC word.
+        decodeChunk(view, automaton, chunk);
+    } catch (const FatalError &e) {
+        if (mode == Mode::Strict)
+            throw;
+        // Drop the half-decoded records: no record of a malformed
+        // chunk is ever surfaced.
+        chunk.clear();
+        tear(e.what());
+        return false;
+    }
+    return true;
 }
 
 void
-TraceLogReader::loadChunkStrict()
+TraceLogReader::tear(const char *why)
 {
-    if (readTrailer(data, len, cursor, decoded)) {
-        done = true;
-        return;
+    // The chunk starting at chunkStart is torn: end the stream at the
+    // last good chunk.
+    done = true;
+    torn_ = true;
+    tornReason_ = why;
+    discarded = len - chunkStart;
+}
+
+bool
+TraceLogReader::replayChunk(TeaReplayer &replayer)
+{
+    TEA_ASSERT(validated, "tracelog: replayChunk() without a validated "
+                          "chunk");
+    if (mode == Mode::Salvage) {
+        // Decode the whole chunk before feeding any of it: a chunk that
+        // tears mid-way must not have moved the replayer.
+        if (!decodeValidated())
+            return false;
+        replayer.feedAll(chunk.data(), chunk.data() + chunk.size());
+        chunkPos = chunk.size();
+    } else {
+        validated = false;
+        walkChunk(view, automaton, [&replayer](auto &cur, uint32_t n) {
+            replayer.feedFrom(cur, n);
+        });
     }
-    TraceChunkView view = readChunkFrame(data, len, cursor, version_);
-    chunk.clear();
-    // The whole CRC-validated chunk decodes through the batch kernel;
-    // a record that would read past the payload fails as truncation
-    // instead of bleeding into the CRC word.
-    decodeChunk(view, automaton, chunk);
-    decoded += view.records;
-    chunkPos = 0;
+    surfaced += view.records;
+    return true;
 }
 
 bool
 TraceLogReader::next(BlockTransition &out)
 {
-    while (chunkPos >= chunk.size()) {
-        if (done)
+    while (chunkPos >= chunk.size())
+        if (!validateChunk() || !decodeValidated())
             return false;
-        chunk.clear();
-        chunkPos = 0;
-        loadChunk();
-    }
     out = chunk[chunkPos++];
     ++surfaced;
     return true;
@@ -993,12 +1089,7 @@ TraceLogReader::nextChunk()
 {
     TEA_ASSERT(chunkPos >= chunk.size(),
                "tracelog: nextChunk() with records still unread");
-    if (done)
-        return nullptr;
-    chunk.clear();
-    chunkPos = 0;
-    loadChunk();
-    if (chunk.empty())
+    if (!validateChunk() || !decodeValidated())
         return nullptr; // trailer, or the tear in salvage mode
     chunkPos = chunk.size();
     surfaced += chunk.size();

@@ -37,9 +37,17 @@
  *   replays the same CompiledTea to reconstruct the record the DFA
  *   fully determines — and a 0-bit falls back to an explicit delta
  *   record (cold blocks, trace entries/exits, halts);
- * - decodeChunk(), a batch kernel that decodes a whole CRC-validated
- *   chunk into a caller-provided vector with one bounds check per
- *   record region instead of one per byte.
+ * - one codec loop per chunk, with one bounds check per record region
+ *   instead of one per byte. decodeChunk() stores the records in a
+ *   caller-provided vector; TraceLogReader::replayChunk() hands each
+ *   one to the transition kernel as it is decoded, so a strict replay
+ *   of a CRC-validated chunk stores no decoded records at all.
+ *
+ * The replay service (svc/replay_service.hh) replays a log one chunk
+ * at a time: validateChunk() checks a chunk's framing and CRC, then
+ * replayChunk() walks it into the replayer, and the service stamps its
+ * phase clock around each step — three clock reads per chunk of up to
+ * kChunkRecords records, none per record.
  *
  * The explicit trailer makes truncation detectable: a reader that hits
  * EOF before the end marker (or whose summed chunk counts disagree with
@@ -63,6 +71,7 @@ namespace tea {
 
 class CompiledTea;
 class MappedFile;
+class TeaReplayer;
 
 /** Trace-log container constants (shared by writer, reader, tests). */
 struct TraceLogFormat
@@ -301,10 +310,32 @@ class TraceLogReader
      */
     const std::vector<BlockTransition> *nextChunk();
 
+    /**
+     * Replay access, step 1: check the next chunk's framing and CRC
+     * (at the end, the trailer) without decoding a record. Follow each
+     * true return with exactly one replayChunk().
+     * @return false at the end of the log (or the tear, in Salvage)
+     * @throws FatalError on a framing, CRC or trailer defect (Strict)
+     */
+    bool validateChunk();
+
+    /**
+     * Replay access, step 2: decode the validated chunk into
+     * `replayer`. Strict mode is the fused walk: the kernel pulls each
+     * record from the codec as it is decoded (TeaReplayer::feedFrom),
+     * so no decoded chunk is stored; a malformed record throws
+     * FatalError with the records before it already fed, which a
+     * strict caller discards along with the replayer. Salvage mode
+     * decodes the whole chunk before feeding any of it, so a chunk
+     * that tears leaves the replayer untouched and ends the stream.
+     * @return false when the chunk tore (Salvage only)
+     */
+    bool replayChunk(TeaReplayer &replayer);
+
     /** The container version of the open log (1 or 2). */
     uint32_t version() const { return version_; }
 
-    /** Records surfaced so far. */
+    /** Records surfaced so far (returned, or fed by replayChunk()). */
     uint64_t recordsRead() const { return surfaced; }
 
     /** Salvage mode only: did the stream end at a tear? */
@@ -318,8 +349,10 @@ class TraceLogReader
 
   private:
     void readHeader();
-    void loadChunk();
-    void loadChunkStrict();
+    /** Decode the validated chunk into `chunk`; false on a tear. */
+    bool decodeValidated();
+    /** Salvage: end the stream at the chunk starting at chunkStart. */
+    void tear(const char *why);
 
     std::vector<uint8_t> owned; ///< backing store for the owning ctor
     std::shared_ptr<const MappedFile> map; ///< backing store, openFile
@@ -328,10 +361,13 @@ class TraceLogReader
     const CompiledTea *automaton = nullptr;
     uint32_t version_ = 0;
     size_t cursor = 0;
+    size_t chunkStart = 0; ///< offset of the chunk being read
+    TraceChunkView view;   ///< the validated chunk, not yet decoded
+    bool validated = false;
     std::vector<BlockTransition> chunk; ///< decoded records of one chunk
     size_t chunkPos = 0;
-    uint64_t surfaced = 0; ///< records returned by next()
-    uint64_t decoded = 0;  ///< records decoded from chunks (trailer check)
+    uint64_t surfaced = 0; ///< records returned or replayed
+    uint64_t decoded = 0;  ///< records in validated chunks (trailer check)
     bool done = false;
     Mode mode = Mode::Strict;
     bool torn_ = false;

@@ -84,19 +84,6 @@ TeaReplayer::lookupFootprintBytes() const
     return bytes;
 }
 
-bool
-TeaReplayer::cacheLookup(StateId state, Addr label, StateId &out)
-{
-    uint32_t slot = cacheSlot[state];
-    if (slot == kNoCacheSlot)
-        return false;
-    uint32_t v;
-    if (!cachePool[slot].lookup(label, v))
-        return false;
-    out = static_cast<StateId>(v);
-    return true;
-}
-
 void
 TeaReplayer::cacheFill(StateId state, Addr label, StateId value)
 {
@@ -133,17 +120,6 @@ TeaReplayer::resolveEntry(Addr addr)
     return Tea::kNteState;
 }
 
-StateId
-TeaReplayer::resolveEntryCompiled(Addr addr)
-{
-    ++st.globalLookups;
-    StateId id = cfg.useGlobalBTree ? compiled->entryAt(addr)
-                                    : compiled->entryLinear(addr);
-    if (id != Tea::kNteState)
-        ++st.globalHits;
-    return id;
-}
-
 void
 TeaReplayer::feedReference(const BlockTransition &tr)
 {
@@ -155,13 +131,8 @@ TeaReplayer::feedReference(const BlockTransition &tr)
         ++st.nteBlocks;
     if (cur != Tea::kNteState) {
         st.insnsInTrace += tr.from.icount;
-        if (cfg.checkConsistency) {
-            const TeaState &s = tea->state(cur);
-            if (s.start != tr.from.start)
-                panic("replay desync: state %u maps %s but %s executed",
-                      cur, hex32(s.start).c_str(),
-                      hex32(tr.from.start).c_str());
-        }
+        if (cfg.checkConsistency && tea->state(cur).start != tr.from.start)
+            desync(cur, tr.from.start);
     }
 
     if (tr.toStart == kNoAddr)
@@ -212,163 +183,36 @@ TeaReplayer::feedReference(const BlockTransition &tr)
 void
 TeaReplayer::feedCompiled(const BlockTransition &tr)
 {
-    // Same transition function, walking only flat arrays: CSR succ
-    // entries with inlined labels, then (on the exit path) the lazy
-    // local cache, then the flat global entry index.
-    const CompiledTea &ct = *compiled;
-    ++st.blocks;
-    ++execCounts[cur];
-    st.insnsTotal += tr.from.icount;
-    if (cur == Tea::kNteState)
-        ++st.nteBlocks;
-    if (cur != Tea::kNteState) {
-        st.insnsInTrace += tr.from.icount;
-        if (cfg.checkConsistency) {
-            Addr start = ct.stateStartOf(cur);
-            if (start != tr.from.start)
-                panic("replay desync: state %u maps %s but %s executed",
-                      cur, hex32(start).c_str(),
-                      hex32(tr.from.start).c_str());
-        }
-    }
-
-    if (tr.toStart == kNoAddr)
-        return; // program halted; stay put
-    ++st.transitions;
-    const Addr label = tr.toStart;
-
-    if (cur != Tea::kNteState) {
-        // 1. one contiguous run of (label, target) pairs.
-        const CompiledTea::Succ *end = ct.succEnd(cur);
-        for (const CompiledTea::Succ *p = ct.succBegin(cur); p != end;
-             ++p) {
-            if (p->label == label) {
-                ++st.intraTraceHits;
-                cur = p->target;
-                return;
-            }
-        }
-        ++st.traceExits;
-        // 2. the per-state local cache.
-        if (cfg.useLocalCache) {
-            StateId v;
-            if (cacheLookup(cur, label, v)) {
-                ++st.localCacheHits;
-                cur = v;
-                if (cur == Tea::kNteState)
-                    ++st.exitsToCold;
-                return;
-            }
-            StateId next = resolveEntryCompiled(label);
-            cacheFill(cur, label, next);
-            cur = next;
-            if (cur == Tea::kNteState)
-                ++st.exitsToCold;
-            return;
-        }
-        cur = resolveEntryCompiled(label);
-        if (cur == Tea::kNteState)
-            ++st.exitsToCold;
-        return;
-    }
-
-    // 3. from NTE only the global container applies.
-    cur = resolveEntryCompiled(label);
+    stepCompiled(cur, st, execCounts.data(), tr);
 }
+
+namespace {
+
+/** feedAll()'s record source: a pointer walk over the caller's array. */
+struct ArraySource
+{
+    const BlockTransition *p;
+
+    BlockTransition next() { return *p++; }
+};
+
+} // namespace
 
 void
 TeaReplayer::feedAll(const BlockTransition *begin,
                      const BlockTransition *end)
 {
-    if (compiled)
-        feedCompiledBatch(begin, end);
-    else
-        for (const BlockTransition *p = begin; p != end; ++p)
-            feedReference(*p);
+    ArraySource src{begin};
+    feedFrom(src, static_cast<size_t>(end - begin));
 }
 
 void
-TeaReplayer::feedCompiledBatch(const BlockTransition *begin,
-                               const BlockTransition *end)
+TeaReplayer::desync(StateId state, Addr executed) const
 {
-    // The same transition function as feedCompiled(), but the current
-    // state and every counter live in locals for the whole batch and
-    // are stored back once — per-transition memory traffic shrinks to
-    // the execCounts bump plus the CSR probe itself.
-    const CompiledTea &ct = *compiled;
-    ReplayStats local = st;
-    StateId c = cur;
-    uint64_t *exec = execCounts.data();
-
-    auto resolve = [&](Addr label) {
-        ++local.globalLookups;
-        StateId id = cfg.useGlobalBTree ? ct.entryAt(label)
-                                        : ct.entryLinear(label);
-        if (id != Tea::kNteState)
-            ++local.globalHits;
-        return id;
-    };
-
-    for (const BlockTransition *p = begin; p != end; ++p) {
-        ++local.blocks;
-        ++exec[c];
-        local.insnsTotal += p->from.icount;
-        if (c == Tea::kNteState) {
-            ++local.nteBlocks;
-            if (p->toStart == kNoAddr)
-                continue;
-            ++local.transitions;
-            c = resolve(p->toStart);
-            continue;
-        }
-
-        local.insnsInTrace += p->from.icount;
-        if (cfg.checkConsistency) {
-            Addr start = ct.stateStartOf(c);
-            if (start != p->from.start) {
-                st = local;
-                cur = c;
-                panic("replay desync: state %u maps %s but %s executed",
-                      c, hex32(start).c_str(),
-                      hex32(p->from.start).c_str());
-            }
-        }
-        if (p->toStart == kNoAddr)
-            continue;
-        ++local.transitions;
-        const Addr label = p->toStart;
-
-        const CompiledTea::Succ *sEnd = ct.succEnd(c);
-        const CompiledTea::Succ *s = ct.succBegin(c);
-        for (; s != sEnd; ++s) {
-            if (s->label == label) {
-                ++local.intraTraceHits;
-                c = s->target;
-                break;
-            }
-        }
-        if (s != sEnd)
-            continue;
-
-        ++local.traceExits;
-        if (cfg.useLocalCache) {
-            StateId v;
-            if (cacheLookup(c, label, v)) {
-                ++local.localCacheHits;
-                c = v;
-            } else {
-                StateId next = resolve(label);
-                cacheFill(c, label, next);
-                c = next;
-            }
-        } else {
-            c = resolve(label);
-        }
-        if (c == Tea::kNteState)
-            ++local.exitsToCold;
-    }
-    st = local;
-    cur = c;
+    Addr start = compiled ? compiled->stateStartOf(state)
+                          : tea->state(state).start;
+    panic("replay desync: state %u maps %s but %s executed", state,
+          hex32(start).c_str(), hex32(executed).c_str());
 }
 
 void

@@ -43,6 +43,18 @@
 #include "tea/compiled.hh"
 #include "vm/block.hh"
 
+/**
+ * Force a per-record helper into its caller's loop: at -O2 GCC outlines
+ * the kernel step and the codec's record decoders (their cold fatal()
+ * and panic() paths inflate the size estimate), and the call/return
+ * alone costs a measurable share of a few-ns-per-record budget.
+ */
+#if defined(__GNUC__)
+#define TEA_HOT_INLINE inline __attribute__((always_inline))
+#else
+#define TEA_HOT_INLINE inline
+#endif
+
 namespace tea {
 
 /** Which lookup accelerators the transition function may use (§4.2). */
@@ -167,15 +179,31 @@ class TeaReplayer
     }
 
     /**
-     * Process a contiguous run of block executions. Result-identical
-     * to feeding each transition in order; on the compiled kernel the
-     * batch loop keeps the current state and the hot counters in
-     * registers and writes them back once, which is where most of the
-     * kernel's throughput edge comes from. Batch-replay paths (svc
-     * jobs, benches) should prefer this over per-record feed().
+     * Process a contiguous run of block executions: feedFrom() over
+     * an array. Batch-replay paths (benches, salvage jobs) should
+     * prefer this over per-record feed().
      */
     void feedAll(const BlockTransition *begin,
                  const BlockTransition *end);
+
+    /**
+     * Pull `n` records from `src`, anything with a `BlockTransition
+     * next()`, and process them in order. Result-identical to feeding
+     * each one; on the compiled kernel the walk keeps the current
+     * state and the hot counters in registers and stores them back
+     * once, which is where most of the kernel's throughput edge comes
+     * from. feedAll() pulls from an array; the trace-log reader's
+     * strict chunk walk (svc/tracelog.hh) pulls from the codec, so
+     * each record reaches the kernel as it is decoded and no decoded
+     * chunk is ever stored. The reference kernel takes the records
+     * one feed() at a time. When `src.next()` throws, the exception
+     * propagates and the replayer's counters are left unspecified
+     * (storing them back on the way out costs the loop ~4%): a caller
+     * that must keep them decodes before it feeds, as the reader's
+     * salvage mode does.
+     */
+    template <class Source>
+    void feedFrom(Source &src, size_t n);
 
     /** The automaton state of the block currently executing. */
     StateId currentState() const { return cur; }
@@ -219,12 +247,42 @@ class TeaReplayer
 
     void feedReference(const BlockTransition &tr);
     void feedCompiled(const BlockTransition &tr);
-    void feedCompiledBatch(const BlockTransition *begin,
-                           const BlockTransition *end);
+    /**
+     * The compiled kernel's transition step, the one loop body of
+     * feed(), feedAll() and the fused chunk walk: attribute the block
+     * `tr` finished to state `c`, then follow `tr.toStart` through
+     * the CSR successors, the local cache and the flat entry index.
+     * `c` and `s` are the replayer's own `cur` and `st` on feed(),
+     * and locals the compiler keeps in registers on feedFrom().
+     */
+    TEA_HOT_INLINE void stepCompiled(StateId &c, ReplayStats &s,
+                                     uint64_t *exec,
+                                     const BlockTransition &tr);
     StateId resolveEntry(Addr addr);
-    StateId resolveEntryCompiled(Addr addr);
-    bool cacheLookup(StateId state, Addr label, StateId &out);
+    StateId
+    resolveEntryCompiled(ReplayStats &s, Addr addr) const
+    {
+        ++s.globalLookups;
+        StateId id = cfg.useGlobalBTree ? compiled->entryAt(addr)
+                                        : compiled->entryLinear(addr);
+        if (id != Tea::kNteState)
+            ++s.globalHits;
+        return id;
+    }
+    bool
+    cacheLookup(StateId state, Addr label, StateId &out) const
+    {
+        uint32_t slot = cacheSlot[state];
+        if (slot == kNoCacheSlot)
+            return false;
+        uint32_t v;
+        if (!cachePool[slot].lookup(label, v))
+            return false;
+        out = static_cast<StateId>(v);
+        return true;
+    }
     void cacheFill(StateId state, Addr label, StateId value);
+    [[noreturn]] void desync(StateId state, Addr executed) const;
 
     /** The source automaton; null when replaying a compiled snapshot
      *  alone (the reference kernel is unavailable then). */
@@ -256,6 +314,85 @@ class TeaReplayer
     std::vector<uint64_t> execCounts;
     ReplayStats st;
 };
+
+TEA_HOT_INLINE void
+TeaReplayer::stepCompiled(StateId &c, ReplayStats &s, uint64_t *exec,
+                          const BlockTransition &tr)
+{
+    // Walks only flat arrays: CSR succ entries with inlined labels,
+    // then (on the exit path) the lazy local cache, then the flat
+    // global entry index.
+    const CompiledTea &ct = *compiled;
+    ++s.blocks;
+    ++exec[c];
+    s.insnsTotal += tr.from.icount;
+    if (c == Tea::kNteState) {
+        ++s.nteBlocks;
+        if (tr.toStart == kNoAddr)
+            return; // program halted; stay put
+        ++s.transitions;
+        // From NTE only the global container applies ("local caches
+        // are pointless outside of traces").
+        c = resolveEntryCompiled(s, tr.toStart);
+        return;
+    }
+
+    s.insnsInTrace += tr.from.icount;
+    if (cfg.checkConsistency && ct.stateStartOf(c) != tr.from.start)
+        desync(c, tr.from.start);
+    if (tr.toStart == kNoAddr)
+        return;
+    ++s.transitions;
+    const Addr label = tr.toStart;
+
+    // 1. one contiguous run of (label, target) pairs.
+    const CompiledTea::Succ *end = ct.succEnd(c);
+    for (const CompiledTea::Succ *p = ct.succBegin(c); p != end; ++p) {
+        if (p->label == label) {
+            ++s.intraTraceHits;
+            c = p->target;
+            return;
+        }
+    }
+    ++s.traceExits;
+    // 2. the per-state local cache, 3. the global container.
+    if (cfg.useLocalCache) {
+        StateId v;
+        if (cacheLookup(c, label, v)) {
+            ++s.localCacheHits;
+            c = v;
+        } else {
+            StateId next = resolveEntryCompiled(s, label);
+            cacheFill(c, label, next);
+            c = next;
+        }
+    } else {
+        c = resolveEntryCompiled(s, label);
+    }
+    if (c == Tea::kNteState)
+        ++s.exitsToCold;
+}
+
+template <class Source>
+void
+TeaReplayer::feedFrom(Source &src, size_t n)
+{
+    if (compiled == nullptr) {
+        for (size_t i = 0; i < n; ++i)
+            feedReference(src.next());
+        return;
+    }
+    // The current state and every counter live in locals for the whole
+    // walk and are stored back once: per-record memory traffic shrinks
+    // to the execCounts bump plus the CSR probe itself.
+    ReplayStats local = st;
+    StateId c = cur;
+    uint64_t *exec = execCounts.data();
+    for (size_t i = 0; i < n; ++i)
+        stepCompiled(c, local, exec, src.next());
+    st = local;
+    cur = c;
+}
 
 } // namespace tea
 

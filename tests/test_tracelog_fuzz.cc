@@ -8,18 +8,30 @@
  * over elided v2 logs; the batch decode kernel's malformed-payload
  * paths are hit directly; and a randomized differential suite pins
  * v1 <-> v2 <-> elided bit-identity through every lookup mode.
+ *
+ * The served replay path walks each record into the kernel as the
+ * codec decodes it (TraceLogReader::replayChunk). Its oracle here is
+ * the unfused path — readTraceLog(), then one TeaReplayer::feed() per
+ * record — over every encoding and lookup configuration, over corrupt
+ * logs (same error message), and over a torn chunk in salvage mode
+ * (nothing of it reaches the kernel).
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "dbt/runtime.hh"
 #include "svc/replay_service.hh"
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
+#include "tea/recorder.hh"
+#include "trace/factory.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "util/strutil.hh"
 #include "vm/machine.hh"
 #include "workloads/workload.hh"
 
@@ -733,6 +745,343 @@ TEST(TraceLogDifferential, ReplayAgreesAcrossEncodingsAndLookupModes)
                     << " global=" << useGlobal;
             }
         }
+    }
+}
+
+// ------------------------------------------- fused walk vs unfused oracle
+
+/** A block's span and icount are fixed by its address, as in a program. */
+BlockRef
+blockAt(Addr start)
+{
+    return BlockRef{start, start + 4 + (start >> 4) % 9,
+                    1 + (start >> 4) % 13};
+}
+
+/**
+ * A random stream a program could have produced: every record starts
+ * where the previous one went (so the consistency check holds) over a
+ * fixed random CFG of 64 hot blocks, with rare jumps to far cold blocks
+ * and, half the time, a final halt.
+ */
+std::vector<BlockTransition>
+chainedStream(Xorshift64Star &rng, size_t n)
+{
+    constexpr Addr kBase = 0x1000;
+    constexpr uint32_t kBlocks = 64;
+    std::vector<std::array<Addr, 2>> succ(kBlocks);
+    for (auto &pair : succ)
+        for (Addr &a : pair)
+            a = kBase + 16 * static_cast<Addr>(rng.nextBelow(kBlocks));
+    std::vector<BlockTransition> s;
+    s.reserve(n + 1);
+    Addr pc = kBase;
+    for (size_t i = 0; i < n; ++i) {
+        BlockTransition tr;
+        tr.from = blockAt(pc);
+        bool hot = pc < kBase + 16 * kBlocks;
+        if (!hot)
+            tr.toStart = kBase + 16 * static_cast<Addr>(rng.nextBelow(kBlocks));
+        else if (rng.nextBool(0.01))
+            tr.toStart = 0x80000 + 16 * static_cast<Addr>(rng.nextBelow(4096));
+        else
+            tr.toStart = succ[(pc - kBase) / 16][rng.nextBool(0.8) ? 0 : 1];
+        tr.kind = tr.toStart <= tr.from.end
+                      ? (rng.nextBool(0.5) ? EdgeKind::BranchTaken
+                                           : EdgeKind::Jump)
+                      : static_cast<EdgeKind>(rng.nextBelow(6));
+        s.push_back(tr);
+        pc = tr.toStart;
+    }
+    if (rng.nextBool(0.5))
+        s.push_back(BlockTransition{blockAt(pc), kNoAddr, EdgeKind::Halt});
+    return s;
+}
+
+/** One differential input: a stream and the automaton to replay it on. */
+struct FusedCase
+{
+    std::string name;
+    std::shared_ptr<const Tea> tea;
+    std::shared_ptr<const CompiledTea> compiled;
+    std::vector<BlockTransition> stream;
+};
+
+/** A random stream with an automaton MRET recorded over it. */
+FusedCase
+randomCase(uint64_t seed, size_t n)
+{
+    Xorshift64Star rng(seed);
+    FusedCase c;
+    c.name = "random seed " + std::to_string(seed);
+    c.stream = chainedStream(rng, n);
+    TeaRecorder recorder(makeSelector("mret"));
+    for (const BlockTransition &tr : c.stream)
+        recorder.feed(tr);
+    c.tea = std::make_shared<const Tea>(recorder.tea());
+    c.compiled = CompiledTea::compile(c.tea);
+    return c;
+}
+
+/** A test-size suite program's run with its MRET automaton. */
+FusedCase
+suiteCase(const std::string &workload)
+{
+    FusedCase c;
+    c.name = workload;
+    Workload w = Workloads::build(workload, InputSize::Test);
+    c.tea = std::make_shared<const Tea>(
+        buildTea(DbtRuntime(w.program).record("mret").traces));
+    c.compiled = CompiledTea::compile(c.tea);
+    Machine m(w.program);
+    BlockTracker tracker(
+        w.program, [&](const BlockTransition &tr) { c.stream.push_back(tr); },
+        /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+    m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); }, false);
+    return c;
+}
+
+/** The stream as a v1 raw, v2 delta and v2 elided log. */
+std::array<std::vector<uint8_t>, 3>
+encodings(const FusedCase &c)
+{
+    std::array<std::vector<uint8_t>, 3> logs;
+    for (int enc = 0; enc < 3; ++enc) {
+        TraceLogOptions opts;
+        if (enc == 0)
+            opts.version = TraceLogFormat::kVersionV1;
+        if (enc == 2)
+            opts.elideWith = c.compiled;
+        TraceLogWriter w(&logs[enc], opts);
+        for (const BlockTransition &tr : c.stream)
+            w.append(tr);
+        w.finish();
+    }
+    return logs;
+}
+
+/** The unfused oracle: decode the whole log, then feed() each record. */
+StreamResult
+oracleReplay(const FusedCase &c, const std::vector<uint8_t> &log,
+             LookupConfig cfg)
+{
+    std::vector<BlockTransition> records =
+        readTraceLog(log, c.compiled.get());
+    TeaReplayer replayer(*c.tea, cfg,
+                         cfg.useCompiled ? c.compiled : nullptr);
+    for (const BlockTransition &tr : records)
+        replayer.feed(tr);
+    StreamResult res;
+    res.stats = replayer.stats();
+    for (StateId id = 0; id < replayer.numStates(); ++id)
+        res.execCounts.push_back(replayer.execCount(id));
+    return res;
+}
+
+/** Every LookupConfig: kernel x global index x local cache x check. */
+std::vector<LookupConfig>
+allConfigs()
+{
+    std::vector<LookupConfig> out;
+    for (int bits = 0; bits < 16; ++bits) {
+        LookupConfig cfg;
+        cfg.useCompiled = (bits & 1) != 0;
+        cfg.useGlobalBTree = (bits & 2) != 0;
+        cfg.useLocalCache = (bits & 4) != 0;
+        cfg.checkConsistency = (bits & 8) != 0;
+        out.push_back(cfg);
+    }
+    return out;
+}
+
+std::string
+describe(const LookupConfig &cfg)
+{
+    return strprintf("compiled=%d global=%d local=%d check=%d",
+                     cfg.useCompiled, cfg.useGlobalBTree,
+                     cfg.useLocalCache, cfg.checkConsistency);
+}
+
+TEST(FusedReplay, AgreesWithTheUnfusedOracleEverywhere)
+{
+    // Multi-chunk random streams (one with a short last chunk) and two
+    // suite programs, each in all three encodings, through every
+    // lookup configuration: runReplayJob's strict walk must produce
+    // the oracle's stats and profile exactly.
+    std::vector<FusedCase> cases;
+    cases.push_back(randomCase(11, 3 * TraceLogFormat::kChunkRecords));
+    cases.push_back(randomCase(23, 2 * TraceLogFormat::kChunkRecords + 777));
+    cases.push_back(suiteCase("syn.gzip"));
+    cases.push_back(suiteCase("syn.mcf"));
+    const char *encName[3] = {"v1 raw", "v2 delta", "v2 elided"};
+    for (const FusedCase &c : cases) {
+        ASSERT_GT(c.tea->entries().size(), 0u) << c.name;
+        auto logs = encodings(c);
+        size_t chunks =
+            inspectTraceLog(logs[1].data(), logs[1].size()).chunks.size();
+        for (int enc = 0; enc < 3; ++enc) {
+            for (const LookupConfig &cfg : allConfigs()) {
+                SCOPED_TRACE(c.name + ", " + encName[enc] + ", " +
+                             describe(cfg));
+                StreamResult want = oracleReplay(c, logs[enc], cfg);
+                EXPECT_GT(want.stats.intraTraceHits, 0u);
+                ReplayJob job{c.tea, "", &logs[enc], c.compiled};
+                StreamResult got = runReplayJob(job, cfg);
+                ASSERT_TRUE(got.ok()) << got.error;
+                EXPECT_FALSE(got.salvaged);
+                EXPECT_EQ(got.stats, want.stats);
+                EXPECT_EQ(got.execCounts, want.execCounts);
+                EXPECT_EQ(got.batches, chunks);
+            }
+        }
+    }
+}
+
+uint32_t
+get32(const std::vector<uint8_t> &b, size_t at)
+{
+    return uint32_t(b[at]) | (uint32_t(b[at + 1]) << 8) |
+           (uint32_t(b[at + 2]) << 16) | (uint32_t(b[at + 3]) << 24);
+}
+
+/** File offset of chunk `k`'s head in a well-formed v2 log. */
+size_t
+chunkAt(const std::vector<uint8_t> &log, size_t k)
+{
+    size_t at = 8; // magic + version
+    for (size_t i = 0; i < k; ++i)
+        at += 9 + get32(log, at + 5) + 4; // head, payload, CRC
+    return at;
+}
+
+/**
+ * Corrupt chunk `k` of a v2 delta log behind a valid CRC: a record in
+ * the second half of the chunk that is its block's first visit there
+ * loses its new-block tag bit, so the decoder finds no dictionary
+ * entry for it — a malformed record in mid-chunk that only the codec
+ * can catch.
+ */
+std::vector<uint8_t>
+dictionaryMissLog(const std::vector<BlockTransition> &stream, size_t k)
+{
+    std::vector<uint8_t> log;
+    {
+        TraceLogWriter w(&log);
+        for (const BlockTransition &tr : stream)
+            w.append(tr);
+    }
+    const size_t first = k * TraceLogFormat::kChunkRecords;
+    const BlockTransition *recs = stream.data() + first;
+    const size_t n = std::min<size_t>(TraceLogFormat::kChunkRecords,
+                                      stream.size() - first);
+    size_t j = n / 2;
+    auto seenBefore = [&](size_t at) {
+        for (size_t i = 0; i < at; ++i)
+            if (recs[i].from.start == recs[at].from.start)
+                return true;
+        return false;
+    };
+    while (j < n && seenBefore(j))
+        ++j;
+    EXPECT_LT(j, n) << "no first visit in the second half of chunk " << k;
+    // Chunk state resets per chunk, so record j's tag sits where the
+    // encoding of the chunk's first j records ends.
+    std::vector<uint8_t> prefix;
+    encodeChunkPayload(prefix, ChunkEncoding::Delta, recs, j);
+    const size_t head = chunkAt(log, k);
+    uint8_t &tag = log[head + 9 + prefix.size()];
+    EXPECT_NE(tag & 0x02, 0) << "record " << j << " is not a new block";
+    tag &= static_cast<uint8_t>(~0x02);
+    const uint32_t payload = get32(log, head + 5);
+    uint32_t crc = crc32(log.data() + head, 9 + payload);
+    for (int i = 0; i < 4; ++i)
+        log[head + 9 + payload + i] = static_cast<uint8_t>(crc >> (8 * i));
+    return log;
+}
+
+std::string
+oracleError(const std::vector<uint8_t> &log, const CompiledTea *automaton)
+{
+    try {
+        readTraceLog(log, automaton);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(FusedReplay, CorruptLogFailsWithTheOracleMessage)
+{
+    FusedCase c = randomCase(31, 4 * TraceLogFormat::kChunkRecords + 100);
+    auto good = encodings(c)[1];
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> bad;
+    bad.emplace_back("dictionary miss in chunk 2",
+                     dictionaryMissLog(c.stream, 2));
+    auto trailer = good;
+    trailer[trailer.size() - 8] ^= 0x01; // trailer total, low byte
+    bad.emplace_back("wrong trailer count", trailer);
+    for (size_t cut : {chunkAt(good, 3), chunkAt(good, 3) + 20,
+                       good.size() - 3}) {
+        bad.emplace_back("truncated at " + std::to_string(cut),
+                         std::vector<uint8_t>(good.begin(),
+                                              good.begin() +
+                                                  static_cast<long>(cut)));
+    }
+    for (const auto &[what, log] : bad) {
+        std::string want = oracleError(log, c.compiled.get());
+        ASSERT_FALSE(want.empty()) << what << " decoded cleanly";
+        for (const LookupConfig &cfg : allConfigs()) {
+            ReplayJob job{c.tea, "", &log, c.compiled};
+            StreamResult got = runReplayJob(job, cfg);
+            EXPECT_EQ(got.error, want) << what << ", " << describe(cfg);
+            EXPECT_EQ(got.stats, ReplayStats{}) << what;
+        }
+    }
+    EXPECT_NE(oracleError(bad[0].second, nullptr)
+                  .find("missing from the chunk dictionary"),
+              std::string::npos);
+}
+
+TEST(FusedReplay, SalvageDropsATornChunkWhole)
+{
+    // Chunk 2 is CRC-valid but malformed mid-way. A salvage job must
+    // replay exactly chunks [0, 2) — the stats and profile of a strict
+    // job over those chunks with a valid trailer — and feed nothing of
+    // chunk 2, even though its first half decodes.
+    constexpr size_t k = 2;
+    FusedCase c = randomCase(47, 4 * TraceLogFormat::kChunkRecords);
+    std::vector<uint8_t> bad = dictionaryMissLog(c.stream, k);
+    const size_t tornAt = chunkAt(bad, k);
+    std::vector<uint8_t> prefix(bad.begin(),
+                                bad.begin() + static_cast<long>(tornAt));
+    const uint64_t kept = k * TraceLogFormat::kChunkRecords;
+    for (int i = 0; i < 4; ++i)
+        prefix.push_back(0); // end marker
+    for (int i = 0; i < 8; ++i)
+        prefix.push_back(static_cast<uint8_t>(kept >> (8 * i)));
+
+    for (bool useCompiled : {true, false}) {
+        LookupConfig cfg;
+        cfg.useCompiled = useCompiled;
+        cfg.checkConsistency = true;
+        ReplayJob strict{c.tea, "", &prefix, c.compiled};
+        StreamResult want = runReplayJob(strict, cfg);
+        ASSERT_TRUE(want.ok()) << want.error;
+        ASSERT_EQ(want.stats.blocks, kept);
+
+        ReplayJob salvage{c.tea, "", &bad, c.compiled};
+        salvage.salvage = true;
+        StreamResult got = runReplayJob(salvage, cfg);
+        ASSERT_TRUE(got.ok()) << got.error;
+        EXPECT_TRUE(got.salvaged);
+        EXPECT_NE(got.salvageReason.find("missing from the chunk dictionary"),
+                  std::string::npos)
+            << got.salvageReason;
+        EXPECT_EQ(got.salvageBytesDropped, bad.size() - tornAt);
+        EXPECT_EQ(got.stats, want.stats) << "compiled=" << useCompiled;
+        EXPECT_EQ(got.execCounts, want.execCounts)
+            << "compiled=" << useCompiled;
+        EXPECT_EQ(got.batches, k);
     }
 }
 
