@@ -19,6 +19,9 @@ namespace {
  */
 constexpr size_t kSendBatch = 1u << 20;
 
+/** The most one read of a reply may land in the frame decoder. */
+constexpr size_t kRecvRoom = 64u << 10;
+
 /** Encode one v2 delta chunk and append its RECORD_CHUNK frame. */
 void
 appendRecordChunk(std::vector<uint8_t> &out, const BlockTransition *batch,
@@ -77,12 +80,12 @@ Frame
 TeaClient::recvFrame()
 {
     Frame frame;
-    uint8_t buf[64 * 1024];
     while (!decoder.poll(frame)) {
-        size_t n = sock.recvSome(buf, sizeof(buf));
+        // Read straight into the decoder: no staging buffer, no copy.
+        size_t n = sock.recvSome(decoder.reserve(kRecvRoom), kRecvRoom);
+        decoder.commit(n);
         if (n == 0)
             fatal("server closed the connection");
-        decoder.feed(buf, n);
     }
     return frame;
 }

@@ -26,8 +26,9 @@
  *   until the completion. The loop never runs a replay;
  * - reads are never staged: the loop's read that starts a task and the
  *   task's reads on both land in the session's frame decoder
- *   (Session::receiveBuffer), so each wire byte is read once and first
- *   copied when the session files a REPLAY_CHUNK in its stream log.
+ *   (Session::receiveBuffer), so each wire byte is read once, and a
+ *   REPLAY_CHUNK is walked into the replayer where it lies — only the
+ *   incomplete `.tlog` chunk frame at its end is ever copied.
  *
  * Robustness mechanics, all loop-local and lock-free:
  *

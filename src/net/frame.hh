@@ -100,7 +100,11 @@ struct Wire
     static constexpr uint32_t kMaxPayload = 64u << 20;
     /** Longest accepted automaton name. */
     static constexpr size_t kMaxName = 256;
-    /** Per-stream cap on accumulated REPLAY_CHUNK bytes. */
+    /**
+     * Per-stream budget of REPLAY_CHUNK payload bytes: counted, not
+     * held (the server walks a stream as it arrives and keeps about
+     * one `.tlog` chunk); the frame that crosses it closes the session.
+     */
     static constexpr uint64_t kMaxLogBytes = 256ull << 20;
     /** Client-side split size for REPLAY_CHUNK frames. */
     static constexpr size_t kReplayChunk = 256u << 10;
@@ -215,15 +219,15 @@ appendFrame(std::vector<uint8_t> &out, MsgType type,
  * because nothing after a framing error can be trusted.
  *
  * There is one parser with two accessors: poll(FrameView &) hands out
- * a view into the buffer (the server's Session copies a REPLAY_CHUNK
- * once, straight into its stream log), and poll(Frame &) wraps it with
- * an owning copy for callers that keep frames past the next feed()
+ * a view into the buffer (the server's Session walks a REPLAY_CHUNK
+ * into the replayer where it lies), and poll(Frame &) wraps it with an
+ * owning copy for callers that keep frames past the next feed()
  * (TeaClient).
  *
  * Bytes enter two ways: feed() copies them in, and the reserve()/
  * commit() pair lets a socket read land in the buffer directly — the
- * server's read path, where every wire byte is read once and copied
- * nowhere before it is parsed.
+ * read path of the server and of TeaClient, where every wire byte is
+ * read once and copied nowhere before it is parsed.
  */
 class FrameDecoder
 {

@@ -37,11 +37,17 @@ void
 Session::pushSpan(obs::SpanPhase phase, uint64_t startNs)
 {
     obs::Span s;
-    s.conn = ob.conn;
     s.request = reqBegun;
     s.phase = phase;
     s.startNs = startNs;
     s.durNs = obs::monotonicNanos() - startNs;
+    pushSpan(s);
+}
+
+void
+Session::pushSpan(obs::Span s)
+{
+    s.conn = ob.conn;
     ob.spans->push(s);
     // Keep a small per-request tail for the slow-request breakdown;
     // cap it so an untaken buffer stays bounded.
@@ -170,10 +176,10 @@ Session::onFrame(const FrameView &frame, std::vector<uint8_t> &out)
         return true;
     }
 
-    // Oversized stream accumulation is a resource violation: close
-    // rather than grow without bound.
+    // A stream past its byte budget is a resource violation: close
+    // rather than walk (or count) without bound.
     if (frame.type == MsgType::ReplayChunk &&
-        streamLog.size() + frame.size > maxLogBytes) {
+        streamBytes + frame.size > maxLogBytes) {
         replyError(out, true, "replay stream exceeds the size cap");
         return false;
     }
@@ -184,9 +190,7 @@ Session::onFrame(const FrameView &frame, std::vector<uint8_t> &out)
     } catch (const FatalError &e) {
         if (state == State::Streaming) {
             // Abandon the stream; the client restarts with a new BEGIN.
-            stream = AutomatonSnapshot{};
-            streamLog.clear();
-            state = State::Ready;
+            closeStream();
         } else if (state == State::Recording) {
             // Abandon the recording: the session destructor releases
             // the name and the last swapped snapshot stays installed.
@@ -196,6 +200,58 @@ Session::onFrame(const FrameView &frame, std::vector<uint8_t> &out)
         replyError(out, false, e.what());
     }
     return true;
+}
+
+void
+Session::walkStream(const uint8_t *data, size_t len, bool end)
+{
+    if (!streamCounted) {
+        // A stream counts once its replay starts: at its first chunk,
+        // or at REPLAY_END when it sent none.
+        streamCounted = true;
+        ++replays;
+        if (ob.replays != nullptr)
+            ob.replays->inc();
+        if (streamReplaysBy != nullptr)
+            streamReplaysBy->inc();
+    }
+    if (!streamError.empty())
+        return; // the walk ended at a defect; later chunks only count
+    bool timed = traced() || streamReplayMsBy != nullptr;
+    uint64_t t0 = timed ? obs::monotonicNanos() : 0;
+    uint64_t chunks = streamReader.times().chunks;
+    try {
+        if (end)
+            streamReader.finish();
+        else
+            streamReader.push(data, len, *streamReplayer);
+    } catch (const FatalError &e) {
+        streamError = e.what();
+    }
+    // A frame that only topped up the held chunk frame did no walk.
+    bool walked = end || !streamError.empty() ||
+                  streamReader.times().chunks != chunks;
+    if (!timed || !walked)
+        return;
+    uint64_t dur = obs::monotonicNanos() - t0;
+    streamReplayNs += dur;
+    if (traced()) {
+        obs::Span s;
+        s.request = streamRequest;
+        s.phase = obs::SpanPhase::Replay;
+        s.startNs = t0;
+        s.durNs = dur;
+        pushSpan(s);
+    }
+}
+
+void
+Session::closeStream()
+{
+    if (streamReplayer)
+        streamReplayer->rebind(nullptr, LookupConfig{});
+    stream = AutomatonSnapshot{};
+    state = State::Ready;
 }
 
 void
@@ -325,72 +381,74 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
                                   : nullptr;
         streamReplayMsBy =
             ob.replayMsBy != nullptr ? &ob.replayMsBy->at(name) : nullptr;
-        streamLog.clear();
         streamProfile = (flags & ReplayFlags::kProfile) != 0;
         streamCfg = lookup;
         streamCfg.useGlobalBTree = (flags & ReplayFlags::kNoGlobal) == 0;
         streamCfg.useLocalCache = (flags & ReplayFlags::kNoLocal) == 0;
-        if ((flags & ReplayFlags::kReference) != 0) {
+        if ((flags & ReplayFlags::kReference) != 0)
             streamCfg.useCompiled = false;
+        if (!streamCfg.useCompiled) {
             // The reference kernel walks a Tea; a snapshot without one
             // (a mapped image, a recording's publish) rebuilds it from
             // its sections per request — a diagnostic escape hatch,
             // not a hot path.
-            if (!stream.tea && stream.compiled)
+            if (!stream.tea)
                 stream.tea = std::make_shared<const Tea>(
                     stream.compiled->rehydrateTea());
+            streamReplayer.emplace(*stream.tea, streamCfg);
+        } else if (streamReplayer) {
+            streamReplayer->rebind(stream.compiled, streamCfg);
+        } else {
+            streamReplayer.emplace(stream.compiled, streamCfg);
         }
+        // The pinned snapshot doubles as the decode automaton of
+        // elided chunks, as in runReplayJob().
+        streamReader.reset(stream.compiled.get());
+        streamRequest = reqBegun;
+        streamBytes = 0;
+        streamCounted = false;
+        streamError.clear();
+        streamReplayNs = 0;
         state = State::Streaming;
         reply(out, MsgType::ReplayOk, PayloadWriter{});
         return;
     }
     case MsgType::ReplayChunk:
-        // The chunk's one copy: decoder buffer to stream log.
-        streamLog.insert(streamLog.end(), frame.payload,
-                         frame.payload + frame.size);
+        // Walked where it lies in the decoder's buffer: only the part
+        // of a chunk frame the payload leaves incomplete is copied.
+        streamBytes += frame.size;
+        walkStream(frame.payload, frame.size, /*end=*/false);
         return;
     case MsgType::ReplayEnd: {
         PayloadReader r(frame.payload, frame.size);
         r.expectEnd();
-        ++replays;
-        if (ob.replays != nullptr)
-            ob.replays->inc();
-        if (streamReplaysBy != nullptr)
-            streamReplaysBy->inc();
-        ReplayJob job{stream.tea, "", &streamLog, stream.compiled};
-        bool timeReplay = traced() || streamReplayMsBy != nullptr;
-        uint64_t tReplay = timeReplay ? obs::monotonicNanos() : 0;
-        StreamResult res = runReplayJob(job, streamCfg);
-        if (traced())
-            pushSpan(obs::SpanPhase::Replay, tReplay);
+        walkStream(nullptr, 0, /*end=*/true);
+        // One observation per stream: the summed walk time.
         if (streamReplayMsBy != nullptr)
             streamReplayMsBy->observe(
-                static_cast<double>(obs::monotonicNanos() - tReplay) /
-                1e6);
+                static_cast<double>(streamReplayNs) / 1e6);
+        const TeaReplayer &rp = *streamReplayer;
+        uint64_t transitions =
+            streamError.empty() ? rp.stats().transitions : 0;
         if (ob.transitions != nullptr)
-            ob.transitions->inc(res.stats.transitions);
+            ob.transitions->inc(transitions);
         if (streamTransitionsBy != nullptr)
-            streamTransitionsBy->inc(res.stats.transitions);
-        if (ob.salvaged != nullptr && res.salvaged)
-            ob.salvaged->inc();
-        bool wantProfile = streamProfile;
-        stream = AutomatonSnapshot{};
-        state = State::Ready;
-        if (!res.ok()) {
+            streamTransitionsBy->inc(transitions);
+        if (!streamError.empty()) {
             if (ob.replayFailures != nullptr)
                 ob.replayFailures->inc();
-            streamLog.clear();
-            fatal("replay failed: %s", res.error.c_str());
+            closeStream();
+            fatal("replay failed: %s", streamError.c_str());
         }
-        streamLog.clear();
         PayloadWriter w;
-        encodeStats(w, res.stats);
-        w.u8(wantProfile ? 1 : 0);
-        if (wantProfile) {
-            w.u32(static_cast<uint32_t>(res.execCounts.size()));
-            for (uint64_t c : res.execCounts)
-                w.u64(c);
+        encodeStats(w, rp.stats());
+        w.u8(streamProfile ? 1 : 0);
+        if (streamProfile) {
+            w.u32(rp.numStates());
+            for (StateId id = 0; id < rp.numStates(); ++id)
+                w.u64(rp.execCount(id));
         }
+        closeStream();
         reply(out, MsgType::ReplayResult, w);
         return;
     }
@@ -433,10 +491,10 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
         // automaton grown by half a chunk.
         if (ob.recWireBytes != nullptr)
             ob.recWireBytes->inc(frame.size);
-        // One framed v2 delta chunk (CRC-checked, batch-decoded).
-        std::vector<BlockTransition> batch =
-            decodeWireChunk(frame.payload, frame.size);
-        recSession->feedBatch(batch.data(), batch.size());
+        // One framed v2 delta chunk (CRC-checked, batch-decoded) into
+        // the session's reused buffer.
+        decodeWireChunk(frame.payload, frame.size, recBatch);
+        recSession->feedBatch(recBatch.data(), recBatch.size());
         return;
     }
     case MsgType::RecordEnd: {

@@ -22,11 +22,18 @@
  *   failure becomes an ERROR frame or a closed session. (PanicError
  *   still propagates — that is a library bug, not an input.)
  *
- * Replays run inline on the calling thread — the server runs
- * consume() on its worker pool, so a REPLAY_END does its work on a pool
- * worker, exactly like a ReplayService job. The automaton snapshot is
- * pinned at REPLAY_BEGIN, so a concurrent evict never invalidates the
- * stream being replayed (the registry's immutability contract).
+ * Replays run inline on the calling thread, and they stream: the
+ * server runs consume() on its worker pool, and each REPLAY_CHUNK is
+ * walked into the replayer as it arrives (TraceLogPushReader,
+ * svc/tracelog.hh) — every chunk of the log its bytes complete, with
+ * only an incomplete chunk frame held back for the next one. So an
+ * in-flight replay holds about one `.tlog` chunk, never the log, and
+ * REPLAY_END only reads the end of the log and answers. A defect found
+ * mid-stream is saved and answered at REPLAY_END, like a defect found
+ * there; the chunks after it are counted against the stream's byte
+ * budget but not decoded. The automaton snapshot is pinned at
+ * REPLAY_BEGIN, so a concurrent evict never invalidates the stream
+ * being replayed (the registry's immutability contract).
  */
 
 #ifndef TEA_NET_SESSION_HH
@@ -34,6 +41,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +52,7 @@
 #include "store/store.hh"
 #include "svc/registry.hh"
 #include "svc/replay_service.hh"
+#include "svc/tracelog.hh"
 
 namespace tea {
 
@@ -62,7 +71,10 @@ struct SessionObs
     obs::Counter *replays = nullptr;        ///< svc.streams
     obs::Counter *replayFailures = nullptr; ///< svc.stream_failures
     obs::Counter *transitions = nullptr;    ///< svc.transitions
-    obs::Counter *salvaged = nullptr;       ///< svc.salvaged
+    /** svc.salvaged. A served replay is strict and never salvages,
+     *  so no session bumps it; binding it still registers the counter,
+     *  so a server's scrape shows the whole svc family. */
+    obs::Counter *salvaged = nullptr;
     obs::Counter *recWireBytes = nullptr;   ///< rec.wire_bytes
     // Per-automaton families (labeled by automaton name). The session
     // resolves one series handle per family at REPLAY_BEGIN — a mutex
@@ -187,13 +199,16 @@ class Session
      */
     std::vector<obs::Span> takeRequestSpans();
 
-    /** Streams replayed by this session (served + failed). */
+    /**
+     * Streams replayed by this session (served + failed), each counted
+     * when its walk starts: its first REPLAY_CHUNK, or REPLAY_END.
+     */
     uint64_t replaysRun() const { return replays; }
 
     /**
-     * Lower the per-stream accumulation cap (default
-     * Wire::kMaxLogBytes). A testing seam: the fuzz tests prove the
-     * cap trips without buffering gigabytes.
+     * Lower the per-stream byte budget (default Wire::kMaxLogBytes):
+     * the REPLAY_CHUNK bytes one stream may send, counted, not held. A
+     * testing seam: the fuzz tests prove it trips with kilobytes.
      */
     void setMaxLogBytes(size_t cap) { maxLogBytes = cap; }
 
@@ -210,8 +225,24 @@ class Session
     /** True when span tracing is wired up (skip clock reads if not). */
     bool traced() const { return ob.spans != nullptr; }
 
-    /** Record a phase that started at `startNs` and just ended. */
+    /** Record a phase of the current request that just ended. */
     void pushSpan(obs::SpanPhase phase, uint64_t startNs);
+    /** Record `s`, stamped with this session's connection id. */
+    void pushSpan(obs::Span s);
+
+    /**
+     * One step of the open stream's walk: push a REPLAY_CHUNK payload,
+     * or (`end`) read the end of the log at REPLAY_END. The first step
+     * counts the stream (svc.streams). A defect is saved in
+     * streamError, and nothing is walked after it. A step that walked
+     * a chunk, failed, or ended the log is Replay work: timed into
+     * streamReplayNs and, when traced, one Replay span stamped with the
+     * stream's REPLAY_BEGIN request ordinal.
+     */
+    void walkStream(const uint8_t *data, size_t len, bool end);
+
+    /** Drop the stream's snapshot pin and return to Ready. */
+    void closeStream();
 
     AutomatonRegistry &registry;
     AutomatonStore *store = nullptr; ///< optional disk-backed tier
@@ -230,8 +261,16 @@ class Session
     // REPLAY_BEGIN .. REPLAY_END stream in progress. The snapshot
     // pins both the automaton and its registry-shared CompiledTea, so
     // the replay never compiles and eviction never invalidates it.
-    AutomatonSnapshot stream;       ///< pinned snapshot
-    std::vector<uint8_t> streamLog; ///< accumulated chunk bytes
+    // The reader and the replayer are reused stream after stream:
+    // they keep their storage, not the automaton (closeStream()).
+    AutomatonSnapshot stream;          ///< pinned snapshot
+    uint64_t streamRequest = 0;        ///< REPLAY_BEGIN's request ordinal
+    TraceLogPushReader streamReader;   ///< walks chunks as they arrive
+    std::optional<TeaReplayer> streamReplayer;
+    uint64_t streamBytes = 0;    ///< REPLAY_CHUNK bytes, vs maxLogBytes
+    bool streamCounted = false;  ///< svc.streams bumped for it
+    std::string streamError;     ///< first defect, answered at END
+    uint64_t streamReplayNs = 0; ///< walk time, the Replay spans' sum
     bool streamProfile = false;
     LookupConfig streamCfg;
     // Per-automaton series handles resolved at REPLAY_BEGIN (see
@@ -247,6 +286,7 @@ class Session
     rec::RecordingService *recSvc = nullptr;
     uint32_t recSwapInterval = 4096;
     std::unique_ptr<rec::RecordingSession> recSession;
+    std::vector<BlockTransition> recBatch; ///< RECORD_CHUNK decode, reused
 };
 
 } // namespace tea

@@ -50,7 +50,7 @@ enum class SpanPhase : uint8_t {
     Accept = 0, ///< connection admitted to a session worker
     Decode,     ///< wire bytes -> frames (FrameDecoder)
     Lookup,     ///< automaton registry snapshot pin
-    Replay,     ///< the replay kernel run (REPLAY_END)
+    Replay,     ///< replay walk: a REPLAY_CHUNK that walked, REPLAY_END
     Reply,      ///< reply bytes flushed to the socket
     Request,    ///< the whole request, first byte to last reply byte
     Dispatch,   ///< event loop: read-ready to worker pickup latency

@@ -101,8 +101,8 @@ struct StreamResult
      * encoding depend on that), while timing is scheduler noise that
      * may differ between identical runs.
      */
-    uint64_t validateNs = 0; ///< chunk framing + CRC (validateChunk)
-    uint64_t walkNs = 0;     ///< decode + transition walk (replayChunk)
+    uint64_t validateNs = 0; ///< chunk framing + CRC
+    uint64_t walkNs = 0;     ///< decode + transition walk
     uint64_t batches = 0;    ///< chunks walked into the replayer
 
     /** Transition rate over the walk phase, for profiling reports. */
@@ -137,12 +137,11 @@ struct BatchResult
 };
 
 /**
- * Replay one job synchronously on the calling thread.
- *
- * The single-stream unit of work shared by ReplayService (which fans
- * it out over a worker pool) and the network session (net/session.hh,
- * which runs it inline per REPLAY_STREAM request). Failures are
- * reported in the result, never thrown.
+ * Replay one job synchronously on the calling thread: the unit of work
+ * ReplayService fans out over its worker pool. A strict job pushes its
+ * whole log through the TraceLogPushReader a served replay streams its
+ * REPLAY_CHUNKs through (net/session.hh), so local and remote replays
+ * share one walk. Failures are reported in the result, never thrown.
  */
 StreamResult runReplayJob(const ReplayJob &job, LookupConfig cfg);
 

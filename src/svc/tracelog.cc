@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "obs/trace.hh"
 #include "tea/compiled.hh"
 #include "tea/replayer.hh"
 #include "util/crc32.hh"
@@ -510,10 +511,9 @@ sameTransition(const BlockTransition &a, const BlockTransition &b)
 //
 // One pull cursor per encoding: next() decodes the chunk's next record.
 // walkChunk() hands the chunk's cursor to a sink that pulls exactly
-// `records` of them — decodeChunk() stores each one, the reader's
-// strict replay walk (TraceLogReader::replayChunk) feeds each one to
-// the kernel as it comes — so every consumer of a chunk runs the same
-// codec.
+// `records` of them — decodeChunk() stores each one, the strict replay
+// walk (TraceLogPushReader) feeds each one to the kernel as it comes —
+// so every consumer of a chunk runs the same codec.
 
 struct RawCursor
 {
@@ -722,18 +722,14 @@ appendChunk(std::vector<uint8_t> &out, uint32_t version, ChunkEncoding enc,
 }
 
 /**
- * Parse one chunk frame at data[cursor..len) and leave `cursor` past
- * its CRC word. The head, the record-count limits, the payload bounds
- * and the CRC are all checked here, for the reader, inspectTraceLog()
- * and the wire alike. A zero record count is the container's trailer
- * marker; callers check for it first (readTrailer()).
+ * Parse a chunk frame's head at data[cursor..len) into `chunk` and
+ * return its payload byte count, checking what the head alone decides
+ * (the encoding, the record-count limit).
  */
-TraceChunkView
-readChunkFrame(const uint8_t *data, size_t len, size_t &cursor,
-               uint32_t version)
+uint32_t
+readChunkHead(const uint8_t *data, size_t len, size_t &cursor,
+              uint32_t version, TraceChunkView &chunk)
 {
-    size_t head = cursor;
-    TraceChunkView chunk;
     chunk.records = rd32(data, len, cursor);
     if (version >= 2) {
         uint8_t e = rd8(data, len, cursor);
@@ -744,7 +740,23 @@ readChunkFrame(const uint8_t *data, size_t len, size_t &cursor,
             fatal("tracelog: chunk record count %u exceeds limit %u",
                   chunk.records, TraceLogFormat::kMaxChunkRecords);
     }
-    uint32_t nbytes = rd32(data, len, cursor);
+    return rd32(data, len, cursor);
+}
+
+/**
+ * Parse one chunk frame at data[cursor..len) and leave `cursor` past
+ * its CRC word. The head, the record-count limits, the payload bounds
+ * and the CRC are all checked here, for the readers, inspectTraceLog()
+ * and the wire alike. A zero record count is the container's trailer
+ * marker; callers check for it first (readTrailer()).
+ */
+TraceChunkView
+readChunkFrame(const uint8_t *data, size_t len, size_t &cursor,
+               uint32_t version)
+{
+    size_t head = cursor;
+    TraceChunkView chunk;
+    uint32_t nbytes = readChunkHead(data, len, cursor, version, chunk);
     if (nbytes > len - cursor)
         fatal("tracelog: truncated chunk payload");
     // A raw or delta record costs at least one payload byte, an elided
@@ -815,8 +827,9 @@ encodeWireChunk(std::vector<uint8_t> &out, const BlockTransition *batch,
                 n, nullptr);
 }
 
-std::vector<BlockTransition>
-decodeWireChunk(const uint8_t *data, size_t len)
+void
+decodeWireChunk(const uint8_t *data, size_t len,
+                std::vector<BlockTransition> &out)
 {
     size_t cursor = 0;
     TraceChunkView chunk =
@@ -825,8 +838,15 @@ decodeWireChunk(const uint8_t *data, size_t len)
         fatal("tracelog: elided chunks are not valid on the wire");
     if (cursor != len)
         fatal("tracelog: %zu trailing bytes", len - cursor);
-    std::vector<BlockTransition> out;
+    out.clear();
     decodeChunk(chunk, nullptr, out);
+}
+
+std::vector<BlockTransition>
+decodeWireChunk(const uint8_t *data, size_t len)
+{
+    std::vector<BlockTransition> out;
+    decodeWireChunk(data, len, out);
     return out;
 }
 
@@ -1056,20 +1076,13 @@ TraceLogReader::replayChunk(TeaReplayer &replayer)
 {
     TEA_ASSERT(validated, "tracelog: replayChunk() without a validated "
                           "chunk");
-    if (mode == Mode::Salvage) {
-        // Decode the whole chunk before feeding any of it: a chunk that
-        // tears mid-way must not have moved the replayer.
-        if (!decodeValidated())
-            return false;
-        replayer.feedAll(chunk.data(), chunk.data() + chunk.size());
-        chunkPos = chunk.size();
-    } else {
-        validated = false;
-        walkChunk(view, automaton, [&replayer](auto &cur, uint32_t n) {
-            replayer.feedFrom(cur, n);
-        });
-    }
-    surfaced += view.records;
+    // Decode the whole chunk before feeding any of it: a chunk that
+    // tears mid-way must not have moved the replayer.
+    if (!decodeValidated())
+        return false;
+    replayer.feedAll(chunk.data(), chunk.data() + chunk.size());
+    chunkPos = chunk.size();
+    surfaced += chunk.size();
     return true;
 }
 
@@ -1094,6 +1107,135 @@ TraceLogReader::nextChunk()
     chunkPos = chunk.size();
     surfaced += chunk.size();
     return &chunk;
+}
+
+// ----------------------------------------------------------- push reader
+//
+// The log as a sequence of elements — the header, each chunk frame, the
+// trailer — each read by the same function TraceLogReader reads it
+// with, over exactly its own bytes. An element complete within a push
+// is read where it lies; only an incomplete one is copied into `held`
+// and completed from the next push. Because an element is read only
+// once it is whole (or, at finish(), as the end of the log), every
+// check sees the bytes the whole-log reader's check sees.
+
+void
+TraceLogPushReader::reset(const CompiledTea *decodeTea)
+{
+    automaton = decodeTea;
+    version_ = 0;
+    ended = false;
+    trailing = 0;
+    decoded = 0;
+    times_ = ChunkWalkTimes{};
+    held.clear();
+}
+
+/**
+ * The size of the element that starts at p, when its first `avail`
+ * bytes tell; otherwise a larger lower bound — the bytes it takes to
+ * tell more. A chunk head's own defects (encoding, record limit)
+ * throw here, as soon as the head is in, with the whole-log reader's
+ * message: the head alone decides them.
+ */
+size_t
+TraceLogPushReader::extentAt(const uint8_t *p, size_t avail) const
+{
+    if (version_ == 0)
+        return 8; // magic + version
+    if (avail < 4)
+        return 4;
+    size_t at = 0;
+    if (rd32(p, avail, at) == 0)
+        return 12; // end marker + u64 total
+    size_t head = version_ >= 2 ? 9 : 8; // count, [encoding], payload size
+    if (avail < head)
+        return head;
+    at = 0;
+    TraceChunkView chunk;
+    uint32_t nbytes = readChunkHead(p, avail, at, version_, chunk);
+    return head + nbytes + 4;
+}
+
+/** Read the complete element p[0..n): header, chunk or trailer. */
+void
+TraceLogPushReader::step(const uint8_t *p, size_t n, TeaReplayer &replayer)
+{
+    size_t at = 0;
+    if (version_ == 0) {
+        version_ = readLogHeader(p, n, at);
+        return;
+    }
+    uint64_t t0 = obs::monotonicNanos();
+    if (readTrailer(p, n, at, decoded)) {
+        ended = true;
+        times_.validateNs += obs::monotonicNanos() - t0;
+        return;
+    }
+    TraceChunkView view = readChunkFrame(p, n, at, version_);
+    uint64_t t1 = obs::monotonicNanos();
+    times_.validateNs += t1 - t0;
+    decoded += view.records;
+    walkChunk(view, automaton, [&replayer](auto &cur, uint32_t k) {
+        replayer.feedFrom(cur, k);
+    });
+    ++times_.chunks;
+    times_.walkNs += obs::monotonicNanos() - t1;
+}
+
+void
+TraceLogPushReader::push(const uint8_t *data, size_t len,
+                         TeaReplayer &replayer)
+{
+    if (!held.empty()) {
+        // Complete the held element, taking no byte past its end.
+        for (;;) {
+            size_t need = extentAt(held.data(), held.size());
+            if (held.size() >= need)
+                break;
+            if (len == 0)
+                return;
+            size_t take = std::min(need - held.size(), len);
+            held.insert(held.end(), data, data + take);
+            data += take;
+            len -= take;
+        }
+        step(held.data(), held.size(), replayer);
+        held.clear();
+    }
+    while (!ended) {
+        size_t need = extentAt(data, len);
+        if (need > len) {
+            held.assign(data, data + len);
+            return;
+        }
+        step(data, need, replayer);
+        data += need;
+        len -= need;
+    }
+    trailing += len;
+}
+
+void
+TraceLogPushReader::finish()
+{
+    if (ended) {
+        if (trailing != 0)
+            fatal("tracelog: %zu trailing bytes",
+                  static_cast<size_t>(trailing));
+        return;
+    }
+    // The log ended inside the held element (or before the header):
+    // read what there is as the end of the log, exactly as the
+    // whole-log reader reads its last bytes. That read must fail.
+    const uint8_t *p = held.data();
+    size_t n = held.size();
+    size_t at = 0;
+    if (version_ == 0)
+        readLogHeader(p, n, at);
+    else if (!readTrailer(p, n, at, decoded))
+        readChunkFrame(p, n, at, version_);
+    panic("tracelog: an incomplete element of %zu bytes read whole", n);
 }
 
 std::vector<BlockTransition>

@@ -39,15 +39,18 @@
  *   record (cold blocks, trace entries/exits, halts);
  * - one codec loop per chunk, with one bounds check per record region
  *   instead of one per byte. decodeChunk() stores the records in a
- *   caller-provided vector; TraceLogReader::replayChunk() hands each
- *   one to the transition kernel as it is decoded, so a strict replay
- *   of a CRC-validated chunk stores no decoded records at all.
+ *   caller-provided vector; TraceLogPushReader hands each one to the
+ *   transition kernel as it is decoded, so a strict replay of a
+ *   CRC-validated chunk stores no decoded records at all.
  *
- * The replay service (svc/replay_service.hh) replays a log one chunk
- * at a time: validateChunk() checks a chunk's framing and CRC, then
- * replayChunk() walks it into the replayer, and the service stamps its
- * phase clock around each step — three clock reads per chunk of up to
- * kChunkRecords records, none per record.
+ * A strict replay (every served REPLAY, every non-salvage job of the
+ * replay service, svc/replay_service.hh) runs through
+ * TraceLogPushReader: bytes are pushed as they arrive, each chunk whose
+ * frame is complete is checked (framing, CRC) and walked into the
+ * replayer where it lies, and only an incomplete chunk frame is held
+ * back — a served replay holds about one chunk, never the log. The
+ * reader stamps its phase clock around each step: three clock reads
+ * per chunk of up to kChunkRecords records, none per record.
  *
  * The explicit trailer makes truncation detectable: a reader that hits
  * EOF before the end marker (or whose summed chunk counts disagree with
@@ -152,11 +155,17 @@ void encodeWireChunk(std::vector<uint8_t> &out,
                      const BlockTransition *batch, size_t n);
 
 /**
- * Decode one encodeWireChunk() payload. @throws FatalError on any
- * framing or codec defect (truncation, CRC mismatch, trailing bytes,
- * malformed records) — a malformed wire chunk surfaces atomically,
- * never as a partial batch.
+ * Decode one encodeWireChunk() payload into `out`, replacing what it
+ * held (its capacity is kept, so a caller that reuses one buffer
+ * decodes without allocating). @throws FatalError on any framing or
+ * codec defect (truncation, CRC mismatch, trailing bytes, malformed
+ * records); `out` is then unspecified, so a caller feeds it only after
+ * a clean return and never sees part of a malformed chunk.
  */
+void decodeWireChunk(const uint8_t *data, size_t len,
+                     std::vector<BlockTransition> &out);
+
+/** decodeWireChunk() into a fresh vector. */
 std::vector<BlockTransition> decodeWireChunk(const uint8_t *data,
                                              size_t len);
 
@@ -282,7 +291,7 @@ class TraceLogReader
 
     /**
      * Borrow an in-memory log (no copy). The buffer must outlive the
-     * reader — the replay service streams a session's log this way.
+     * reader — the replay service reads a salvage job's buffer this way.
      */
     TraceLogReader(const uint8_t *data, size_t len,
                    Mode mode = Mode::Strict,
@@ -320,14 +329,12 @@ class TraceLogReader
     bool validateChunk();
 
     /**
-     * Replay access, step 2: decode the validated chunk into
-     * `replayer`. Strict mode is the fused walk: the kernel pulls each
-     * record from the codec as it is decoded (TeaReplayer::feedFrom),
-     * so no decoded chunk is stored; a malformed record throws
-     * FatalError with the records before it already fed, which a
-     * strict caller discards along with the replayer. Salvage mode
-     * decodes the whole chunk before feeding any of it, so a chunk
-     * that tears leaves the replayer untouched and ends the stream.
+     * Replay access, step 2: decode the validated chunk whole, then
+     * feed it to `replayer`, so a chunk that fails to decode feeds
+     * nothing: in Salvage mode it ends the stream, in Strict mode it
+     * throws FatalError. This is the salvage replay; a strict replay
+     * needs no such atomicity and walks each record into the kernel as
+     * it decodes, through TraceLogPushReader.
      * @return false when the chunk tore (Salvage only)
      */
     bool replayChunk(TeaReplayer &replayer);
@@ -373,6 +380,80 @@ class TraceLogReader
     bool torn_ = false;
     std::string tornReason_;
     uint64_t discarded = 0;
+};
+
+/** Per-phase wall-clock totals of a replay, stamped once per chunk. */
+struct ChunkWalkTimes
+{
+    uint64_t validateNs = 0; ///< chunk framing + CRC, and the trailer
+    uint64_t walkNs = 0;     ///< decode + transition walk
+    uint64_t chunks = 0;     ///< chunks walked into the replayer
+};
+
+/**
+ * Replays a log in Strict mode from bytes pushed as they arrive: the
+ * served replay pushes each REPLAY_CHUNK payload, and runReplayJob()
+ * pushes a strict job's whole buffer at once.
+ *
+ * push() walks every chunk whose frame is complete within the bytes
+ * pushed so far straight into the replayer, where the bytes lie:
+ * framing and CRC first, then each record pulled from the codec as the
+ * kernel steps (TeaReplayer::feedFrom). It copies aside only the
+ * incomplete rest — part of the header, of one chunk frame, or of the
+ * trailer — and finish() reads that rest as the end of the log. So a
+ * reader holds at most one chunk frame however long the log, and how
+ * the bytes are split between pushes changes nothing: every defect
+ * throws FatalError with exactly the message TraceLogReader throws on
+ * the same bytes joined into one buffer (bad magic or version, a
+ * framing or CRC defect, a malformed record, truncation anywhere, a
+ * wrong trailer count, trailing bytes). The push that completes the
+ * defective header, chunk or trailer throws it, or finish() when the
+ * log ends inside one; trailing bytes are counted, not held, and
+ * finish() reports them.
+ *
+ * After a throw the replayer's counters are unspecified (see
+ * TeaReplayer::feedFrom) and the reader is spent: reset() it before
+ * the next log. Elided chunks decode through the borrowed `automaton`,
+ * as TraceLogReader's do.
+ */
+class TraceLogPushReader
+{
+  public:
+    explicit TraceLogPushReader(const CompiledTea *decodeTea = nullptr)
+        : automaton(decodeTea)
+    {
+    }
+
+    /**
+     * Start the next log. The held-bytes buffer keeps its capacity, so
+     * a reader reused log after log allocates only when a chunk frame
+     * outgrows every one it held before.
+     */
+    void reset(const CompiledTea *decodeTea = nullptr);
+
+    /** Walk every chunk `data[0..len)` completes. @throws FatalError */
+    void push(const uint8_t *data, size_t len, TeaReplayer &replayer);
+
+    /** The log ends here. @throws FatalError unless it ended whole */
+    void finish();
+
+    /** Phase clock totals and chunks walked so far. */
+    const ChunkWalkTimes &times() const { return times_; }
+
+    /** Bytes held back for the next push (an incomplete frame). */
+    size_t heldBytes() const { return held.size(); }
+
+  private:
+    size_t extentAt(const uint8_t *p, size_t avail) const;
+    void step(const uint8_t *p, size_t n, TeaReplayer &replayer);
+
+    const CompiledTea *automaton = nullptr;
+    uint32_t version_ = 0; ///< 0 until the header is read
+    bool ended = false;    ///< the trailer has been read
+    uint64_t trailing = 0; ///< bytes pushed after the trailer
+    uint64_t decoded = 0;  ///< records in validated chunks (trailer check)
+    ChunkWalkTimes times_;
+    std::vector<uint8_t> held; ///< the incomplete header/chunk/trailer
 };
 
 /**

@@ -34,18 +34,30 @@ TeaReplayer::TeaReplayer(const Tea &automaton, LookupConfig config,
 
 TeaReplayer::TeaReplayer(std::shared_ptr<const CompiledTea> snapshot,
                          LookupConfig config)
-    : cfg(config)
 {
     TEA_ASSERT(snapshot != nullptr, "replaying a null compiled snapshot");
-    if (!cfg.useCompiled)
+    rebind(std::move(snapshot), config);
+}
+
+void
+TeaReplayer::rebind(std::shared_ptr<const CompiledTea> snapshot,
+                    LookupConfig config)
+{
+    if (snapshot != nullptr && !config.useCompiled)
         fatal("the reference replay kernel needs the source automaton; "
               "a compiled snapshot alone cannot serve it");
+    // Only the reference kernel fills the pointer-based containers.
+    if (!cfg.useCompiled) {
+        globalTree.clear();
+        globalList.clear();
+    }
+    tea = nullptr;
+    cfg = config;
     compiledShared = std::move(snapshot);
     compiled = compiledShared.get();
-    nStatesTotal = compiled->numStates();
-    if (cfg.useLocalCache)
-        cacheSlot.assign(nStatesTotal, kNoCacheSlot);
-    execCounts.assign(nStatesTotal, 0);
+    nStatesTotal = compiled != nullptr ? compiled->numStates() : 0;
+    cacheSlot.clear();
+    reset();
 }
 
 uint64_t

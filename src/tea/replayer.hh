@@ -236,6 +236,20 @@ class TeaReplayer
     void reset();
 
     /**
+     * Start over on `snapshot`: become TeaReplayer(snapshot, config)
+     * in the storage this replayer already holds. The per-state arrays
+     * and the local-cache pool keep their capacity, so an owner that
+     * replays stream after stream (a server session) allocates only
+     * when an automaton outgrows the ones before it. A null snapshot
+     * drops the automaton and keeps the storage: the replayer is then
+     * empty (numStates() == 0) and must not be fed until the next
+     * rebind().
+     * @throws FatalError when config selects the reference kernel
+     */
+    void rebind(std::shared_ptr<const CompiledTea> snapshot,
+                LookupConfig config);
+
+    /**
      * Force the automaton position. Used by the online recorder to
      * place the fresh replayer it seats after every trace install.
      */

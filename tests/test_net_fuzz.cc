@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 
 #include "dbt/runtime.hh"
@@ -23,6 +25,7 @@
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
 #include "tea/serialize.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "vm/machine.hh"
@@ -381,6 +384,390 @@ TEST(NetFuzz, OversizeChunkStreamIsRefusedNotBuffered)
     EXPECT_EQ(f.type, MsgType::Error);
     PayloadReader r(f.payload);
     EXPECT_EQ(r.u8(), 1u); // fatal
+}
+
+// ------------------------------------- streamed replay: split points
+
+/**
+ * One served automaton with its transition stream as a v1 raw, a v2
+ * delta and a v2 elided log. The elided log is written with the
+ * registry's own CompiledTea, the snapshot the session replays, so the
+ * session, runReplayJob() and readTraceLog() all decode through the
+ * same automaton.
+ */
+struct SplitCase
+{
+    std::string name;
+    AutomatonSnapshot snap;
+    std::vector<BlockTransition> stream;
+    std::array<std::vector<uint8_t>, 3> logs;
+};
+
+const char *const encName[3] = {"v1 raw", "v2 delta", "v2 elided"};
+
+SplitCase
+splitCase(AutomatonRegistry &registry, const std::string &workload)
+{
+    Workload w = Workloads::build(workload, InputSize::Test);
+    DbtRuntime dbt(w.program);
+    SplitCase c;
+    c.name = workload;
+    registry.put(workload, buildTea(dbt.record("mret").traces));
+    c.snap = registry.snapshot(workload);
+    Machine m(w.program);
+    BlockTracker tracker(
+        w.program, [&](const BlockTransition &tr) { c.stream.push_back(tr); },
+        /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+    m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); }, false);
+    for (int enc = 0; enc < 3; ++enc) {
+        TraceLogOptions opts;
+        if (enc == 0)
+            opts.version = TraceLogFormat::kVersionV1;
+        if (enc == 2)
+            opts.elideWith = c.snap.compiled;
+        TraceLogWriter writer(&c.logs[enc], opts);
+        for (const BlockTransition &tr : c.stream)
+            writer.append(tr);
+    }
+    return c;
+}
+
+uint32_t
+get32(const std::vector<uint8_t> &b, size_t at)
+{
+    return uint32_t(b[at]) | (uint32_t(b[at + 1]) << 8) |
+           (uint32_t(b[at + 2]) << 16) | (uint32_t(b[at + 3]) << 24);
+}
+
+/** Chunk-head bytes of a well-formed log: v2 adds the encoding byte. */
+size_t
+headBytes(const std::vector<uint8_t> &log)
+{
+    return get32(log, 4) == TraceLogFormat::kVersionV1 ? 8 : 9;
+}
+
+/** Offset of chunk `k`'s head (k = chunk count: the trailer's). */
+size_t
+chunkAt(const std::vector<uint8_t> &log, size_t k)
+{
+    size_t at = 8; // magic + version
+    for (size_t i = 0; i < k; ++i)
+        at += headBytes(log) + get32(log, at + headBytes(log) - 4) + 4;
+    return at;
+}
+
+/** Payload bytes of chunk `k`. */
+size_t
+payloadOf(const std::vector<uint8_t> &log, size_t k)
+{
+    return get32(log, chunkAt(log, k) + headBytes(log) - 4);
+}
+
+/**
+ * Where a well-formed log's regions begin: the end of the header; per
+ * chunk, its head, its payload and its CRC word; the trailer, its
+ * count, and the end of the log.
+ */
+std::vector<size_t>
+regionStarts(const std::vector<uint8_t> &log)
+{
+    std::vector<size_t> at{8};
+    size_t p = 8;
+    while (get32(log, p) != 0) {
+        size_t payload = get32(log, p + headBytes(log) - 4);
+        at.push_back(p);
+        at.push_back(p + headBytes(log));
+        at.push_back(p + headBytes(log) + payload);
+        p += headBytes(log) + payload + 4;
+    }
+    at.push_back(p);
+    at.push_back(p + 4);
+    at.push_back(log.size());
+    return at;
+}
+
+/**
+ * Corrupt chunk `k` of a v2 delta log behind a valid CRC: the chunk's
+ * last record that is its block's first visit in the chunk loses its
+ * new-block tag bit, so the codec finds no dictionary entry for it in
+ * mid-chunk, after the records before it have been walked.
+ */
+std::vector<uint8_t>
+dictionaryMiss(const SplitCase &c, size_t k)
+{
+    std::vector<uint8_t> log = c.logs[1];
+    const BlockTransition *recs =
+        c.stream.data() + k * TraceLogFormat::kChunkRecords;
+    const size_t n = std::min<size_t>(TraceLogFormat::kChunkRecords,
+                                      c.stream.size() -
+                                          k * TraceLogFormat::kChunkRecords);
+    auto seenBefore = [&](size_t at) {
+        for (size_t i = 0; i < at; ++i)
+            if (recs[i].from.start == recs[at].from.start)
+                return true;
+        return false;
+    };
+    size_t j = n - 1;
+    while (j > 0 && seenBefore(j))
+        --j;
+    EXPECT_GT(j, 0u) << c.name << ": one block fills chunk " << k;
+    std::vector<uint8_t> prefix;
+    encodeChunkPayload(prefix, ChunkEncoding::Delta, recs, j);
+    const size_t head = chunkAt(log, k);
+    log[head + 9 + prefix.size()] &= static_cast<uint8_t>(~0x02);
+    const size_t payload = payloadOf(log, k);
+    uint32_t crc = crc32(log.data() + head, 9 + payload);
+    for (int i = 0; i < 4; ++i)
+        log[head + 9 + payload + i] = static_cast<uint8_t>(crc >> (8 * i));
+    return log;
+}
+
+/** A served replay's answer: the ERROR text, or the stats and profile. */
+struct Outcome
+{
+    std::string error;
+    ReplayStats stats;
+    std::vector<uint64_t> profile;
+};
+
+/**
+ * What the session must answer for `log`: the local oracle's stats and
+ * profile (runReplayJob), or — for a log the whole-log reader rejects —
+ * an ERROR carrying readTraceLog()'s message.
+ */
+Outcome
+oracle(const SplitCase &c, const std::vector<uint8_t> &log)
+{
+    Outcome want;
+    try {
+        readTraceLog(log, c.snap.compiled.get());
+    } catch (const FatalError &e) {
+        want.error = std::string("replay failed: ") + e.what();
+        return want;
+    }
+    ReplayJob job{c.snap.tea, "", &log, c.snap.compiled};
+    StreamResult res = runReplayJob(job, LookupConfig{});
+    EXPECT_TRUE(res.ok()) << res.error;
+    want.stats = res.stats;
+    want.profile = res.execCounts;
+    return want;
+}
+
+/**
+ * Replay `log` on `session` as REPLAY_CHUNK frames cut at `cuts`
+ * (ascending offsets inside the log), profile requested.
+ */
+Outcome
+streamReplay(Session &session, const std::string &name,
+             const std::vector<uint8_t> &log,
+             const std::vector<size_t> &cuts, uint8_t flags = 0)
+{
+    std::vector<uint8_t> wire;
+    PayloadWriter begin;
+    begin.str(name);
+    begin.u8(ReplayFlags::kProfile | flags);
+    appendFrame(wire, MsgType::ReplayBegin, begin.out());
+    size_t from = 0;
+    for (size_t to : cuts) {
+        appendFrame(wire, MsgType::ReplayChunk, log.data() + from, to - from);
+        from = to;
+    }
+    appendFrame(wire, MsgType::ReplayChunk, log.data() + from,
+                log.size() - from);
+    appendFrame(wire, MsgType::ReplayEnd, nullptr, 0);
+
+    Outcome got;
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(session.consume(wire.data(), wire.size(), out));
+    FrameDecoder dec;
+    dec.feed(out.data(), out.size());
+    Frame f;
+    if (!dec.poll(f) || f.type != MsgType::ReplayOk) {
+        got.error = "no REPLAY_OK";
+        return got;
+    }
+    if (!dec.poll(f)) {
+        got.error = "no answer to REPLAY_END";
+        return got;
+    }
+    PayloadReader r(f.payload);
+    if (f.type == MsgType::Error) {
+        EXPECT_EQ(r.u8(), 0u) << "a failed replay must keep the session";
+        got.error = r.str(64 * 1024);
+    } else if (f.type == MsgType::ReplayResult) {
+        got.stats = decodeStats(r);
+        EXPECT_EQ(r.u8(), 1u);
+        uint32_t states = r.u32();
+        for (uint32_t i = 0; i < states; ++i)
+            got.profile.push_back(r.u64());
+        r.expectEnd();
+    } else {
+        got.error = "unexpected reply type";
+    }
+    EXPECT_FALSE(dec.poll(f)) << "one answer per replay";
+    return got;
+}
+
+/**
+ * The split plans for a log of `n` bytes: for every shift d in
+ * [-16, 16], one cut at each region start plus d — so every offset
+ * within 16 bytes of every boundary is a frame edge in some plan —
+ * then `randomPlans` seeded random cut sets and, when `fine`, a plan
+ * of 7-byte frames.
+ */
+std::vector<std::vector<size_t>>
+splitPlans(const std::vector<size_t> &starts, size_t n, uint64_t seed,
+           int randomPlans, bool fine)
+{
+    std::vector<std::vector<size_t>> plans;
+    auto add = [&](std::vector<size_t> cuts) {
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        plans.push_back(std::move(cuts));
+    };
+    for (int d = -16; d <= 16; ++d) {
+        std::vector<size_t> cuts;
+        for (size_t b : starts) {
+            long c = static_cast<long>(b) + d;
+            if (c > 0 && c < static_cast<long>(n))
+                cuts.push_back(static_cast<size_t>(c));
+        }
+        add(std::move(cuts));
+    }
+    Xorshift64Star rng(seed);
+    for (int round = 0; round < randomPlans && n > 1; ++round) {
+        std::vector<size_t> cuts;
+        size_t k = 1 + rng.nextBelow(32);
+        for (size_t i = 0; i < k; ++i)
+            cuts.push_back(1 + rng.nextBelow(n - 1));
+        add(std::move(cuts));
+    }
+    if (fine) {
+        std::vector<size_t> cuts;
+        for (size_t c = 7; c < n; c += 7)
+            cuts.push_back(c);
+        add(std::move(cuts));
+    }
+    return plans;
+}
+
+/**
+ * Replay `log` under every split plan on one session, each replay
+ * followed by a good one: the answer must not depend on where the
+ * frames cut the log, and no answer may leave state behind.
+ */
+void
+checkSplits(AutomatonRegistry &registry, const SplitCase &c,
+            const std::string &what, const std::vector<uint8_t> &log,
+            std::vector<size_t> starts, const Outcome &good,
+            bool corrupt)
+{
+    SCOPED_TRACE(c.name + ", " + what);
+    Outcome want = oracle(c, log);
+    ASSERT_EQ(want.error.empty(), !corrupt) << want.error;
+    // The well-formed log's region starts that this log still has,
+    // and its own end (a truncation point, for a cut log).
+    starts.erase(std::remove_if(starts.begin(), starts.end(),
+                                [&](size_t b) { return b > log.size(); }),
+                 starts.end());
+    starts.push_back(log.size());
+    Session session(registry);
+    std::vector<uint8_t> out;
+    PayloadWriter hello;
+    hello.u32(Wire::kMagic);
+    hello.u32(Wire::kVersion);
+    std::vector<uint8_t> wire;
+    appendFrame(wire, MsgType::Hello, hello.out());
+    ASSERT_TRUE(session.consume(wire.data(), wire.size(), out));
+
+    int i = 0;
+    for (const std::vector<size_t> &cuts :
+         splitPlans(starts, log.size(), /*seed=*/log.size(),
+                    corrupt ? 4 : 8, /*fine=*/!corrupt)) {
+        Outcome got = streamReplay(session, c.name, log, cuts);
+        EXPECT_EQ(got.error, want.error) << "plan " << i;
+        EXPECT_EQ(got.stats, want.stats) << "plan " << i;
+        EXPECT_EQ(got.profile, want.profile) << "plan " << i;
+        // Every third follow-up runs the reference kernel, so the
+        // session's replayer also moves between kernels.
+        uint8_t flags = i % 3 == 0 ? ReplayFlags::kReference : 0;
+        Outcome next = streamReplay(session, c.name, c.logs[1], {}, flags);
+        EXPECT_EQ(next.error, "") << "after plan " << i;
+        EXPECT_EQ(next.stats, good.stats) << "after plan " << i;
+        EXPECT_EQ(next.profile, good.profile) << "after plan " << i;
+        ++i;
+    }
+}
+
+TEST(NetReplaySplit, AnswerIsTheLocalOracleWhereverFramesCutTheLog)
+{
+    AutomatonRegistry registry;
+    for (const char *workload : {"syn.gzip", "syn.vpr"}) {
+        SplitCase c = splitCase(registry, workload);
+        ASSERT_GT(inspectTraceLog(c.logs[1].data(), c.logs[1].size())
+                      .chunks.size(),
+                  2u)
+            << workload;
+        Outcome good = oracle(c, c.logs[1]);
+        for (int enc = 0; enc < 3; ++enc)
+            checkSplits(registry, c, encName[enc], c.logs[enc],
+                        regionStarts(c.logs[enc]), good, false);
+    }
+}
+
+TEST(NetReplaySplit, DefectsAnswerTheWholeLogReadersMessage)
+{
+    // Every defect in the v2 delta logs of both workloads; the framing
+    // defects also in syn.gzip's v1 raw and v2 elided logs.
+    AutomatonRegistry registry;
+    for (const char *workload : {"syn.gzip", "syn.vpr"}) {
+        SplitCase c = splitCase(registry, workload);
+        Outcome goodResult = oracle(c, c.logs[1]);
+        for (int enc : {0, 1, 2}) {
+            if (enc != 1 && c.name != "syn.gzip")
+                continue;
+            const std::vector<uint8_t> &good = c.logs[enc];
+            const std::vector<size_t> starts = regionStarts(good);
+            const size_t head = headBytes(good);
+            const size_t chunk1 = chunkAt(good, 1);
+            const size_t payload1 = payloadOf(good, 1);
+            std::vector<std::pair<std::string, std::vector<uint8_t>>> bad;
+            auto flipped = good;
+            flipped[chunk1 + head + payload1 / 2] ^= 0x40;
+            bad.emplace_back("CRC flip in chunk 1", flipped);
+            std::pair<const char *, size_t> cuts[] = {
+                {"in the header", 6},
+                {"at a chunk head", chunkAt(good, 2)},
+                {"in a chunk head", chunk1 + 5},
+                {"in a payload", chunk1 + head + payload1 / 2},
+                {"in a CRC word", chunk1 + head + payload1 + 2},
+                {"in the trailer", good.size() - 5},
+            };
+            for (const auto &[where, at] : cuts)
+                bad.emplace_back(
+                    std::string("truncated ") + where,
+                    std::vector<uint8_t>(good.begin(),
+                                         good.begin() +
+                                             static_cast<long>(at)));
+            auto trailing = good;
+            trailing.insert(trailing.end(), {0xde, 0xad, 0xbe});
+            bad.emplace_back("trailing bytes", trailing);
+            auto count = good;
+            count[count.size() - 8] ^= 0x01; // trailer total, low byte
+            bad.emplace_back("wrong trailer count", count);
+            if (enc == 1)
+                bad.emplace_back("dictionary miss in chunk 1",
+                                 dictionaryMiss(c, 1));
+            for (const auto &[what, log] : bad)
+                checkSplits(registry, c, std::string(encName[enc]) + ", " +
+                                             what,
+                            log, starts, goodResult, true);
+        }
+        // The dictionary miss is the codec's catch, in mid-chunk.
+        EXPECT_NE(oracle(c, dictionaryMiss(c, 1))
+                      .error.find("missing from the chunk dictionary"),
+                  std::string::npos);
+    }
 }
 
 TEST(NetFuzz, PayloadReaderUnderrunAndTrailingBytesAreFatal)

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -416,6 +417,81 @@ TEST(Stats, StatsBeforeHelloIsAProtocolViolation)
     std::vector<uint8_t> wire, out;
     appendFrame(wire, MsgType::Stats, nullptr, 0);
     EXPECT_FALSE(session.consume(wire.data(), wire.size(), out));
+}
+
+// ------------------------------------------------------- replay spans
+
+TEST(Obs, ReplaySpansAddUpToTheStreamsReplayTime)
+{
+    // A served replay walks each chunk as its bytes arrive. Its Replay
+    // spans cover that walk — one per REPLAY_CHUNK frame that completed
+    // a chunk, plus REPLAY_END's read of the log's end — and
+    // svc.replay_ms_by_automaton takes one observation per stream:
+    // their sum.
+    Workload wl = Workloads::build("syn.gzip", InputSize::Test);
+    std::vector<uint8_t> log = recordLog(wl.program);
+    AutomatonRegistry reg;
+    reg.put("wl", recordTea(wl.program));
+    obs::SpanRing ring(4096);
+    obs::LabeledHistogram replayMs;
+    SessionObs o;
+    o.spans = &ring;
+    o.replayMsBy = &replayMs;
+    Session session(reg);
+    session.setObs(o);
+    std::vector<uint8_t> out;
+    shakeHands(session, out);
+
+    // 4 KiB frames: most end inside a chunk frame and walk nothing.
+    constexpr size_t kFrame = 4096;
+    std::vector<uint8_t> wire;
+    PayloadWriter begin;
+    begin.str("wl");
+    begin.u8(0);
+    appendFrame(wire, MsgType::ReplayBegin, begin.out());
+    for (size_t at = 0; at < log.size(); at += kFrame)
+        appendFrame(wire, MsgType::ReplayChunk, log.data() + at,
+                    std::min(kFrame, log.size() - at));
+    appendFrame(wire, MsgType::ReplayEnd, nullptr, 0);
+    out.clear();
+    ASSERT_TRUE(session.consume(wire.data(), wire.size(), out));
+    FrameDecoder dec;
+    dec.feed(out.data(), out.size());
+    Frame f;
+    ASSERT_TRUE(dec.poll(f));
+    EXPECT_EQ(f.type, MsgType::ReplayOk);
+    ASSERT_TRUE(dec.poll(f));
+    EXPECT_EQ(f.type, MsgType::ReplayResult);
+
+    // The frames that complete a chunk: each chunk frame ends after
+    // its 9-byte head, its payload and its CRC word.
+    std::set<size_t> walking;
+    size_t end = 8;
+    for (const TraceLogChunkInfo &c :
+         inspectTraceLog(log.data(), log.size()).chunks) {
+        end += 9 + c.payloadBytes + 4;
+        walking.insert((end - 1) / kFrame);
+    }
+    ASSERT_GT(walking.size(), 1u);
+    ASSERT_LT(walking.size(), (log.size() + kFrame - 1) / kFrame)
+        << "every frame completes a chunk: nothing to tell apart";
+
+    uint64_t spans = 0;
+    uint64_t spanNs = 0;
+    for (const obs::Span &s : ring.recent()) {
+        if (s.phase != obs::SpanPhase::Replay)
+            continue;
+        ++spans;
+        spanNs += s.durNs;
+        EXPECT_EQ(s.request, 2u) << "the stream's REPLAY_BEGIN ordinal";
+    }
+    EXPECT_EQ(spans, walking.size() + 1);
+    auto series = replayMs.series();
+    ASSERT_EQ(series.size(), 1u);
+    EXPECT_EQ(series[0].first, "wl");
+    EXPECT_EQ(series[0].second.count, 1u) << "one observation per stream";
+    EXPECT_NEAR(series[0].second.sum * 1e6, static_cast<double>(spanNs),
+                1.0);
 }
 
 TEST(Stats, LoopbackSnapshotMatchesClientSideTally)

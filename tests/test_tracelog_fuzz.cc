@@ -9,16 +9,19 @@
  * paths are hit directly; and a randomized differential suite pins
  * v1 <-> v2 <-> elided bit-identity through every lookup mode.
  *
- * The served replay path walks each record into the kernel as the
- * codec decodes it (TraceLogReader::replayChunk). Its oracle here is
- * the unfused path — readTraceLog(), then one TeaReplayer::feed() per
- * record — over every encoding and lookup configuration, over corrupt
- * logs (same error message), and over a torn chunk in salvage mode
- * (nothing of it reaches the kernel).
+ * The strict replay walk (TraceLogPushReader, which runReplayJob() and
+ * the served replay share) walks each record into the kernel as the
+ * codec decodes it. Its oracle here is the unfused path —
+ * readTraceLog(), then one TeaReplayer::feed() per record — over every
+ * encoding and lookup configuration, over corrupt logs (same error
+ * message), and over a torn chunk in salvage mode (nothing of it
+ * reaches the kernel). However a log is split into pushes, the walk
+ * replays it the same and holds at most one chunk frame.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "dbt/runtime.hh"
@@ -1040,6 +1043,78 @@ TEST(FusedReplay, CorruptLogFailsWithTheOracleMessage)
     EXPECT_NE(oracleError(bad[0].second, nullptr)
                   .find("missing from the chunk dictionary"),
               std::string::npos);
+}
+
+TEST(PushReader, AnySplitReplaysAsOnePushAndHoldsOneChunkFrameAtMost)
+{
+    // Push each encoding in pieces from 1 byte to a few KiB: the walk
+    // equals runReplayJob()'s single push, and between pushes the
+    // reader holds less than the largest chunk frame — never the log.
+    FusedCase c = randomCase(41, 3 * TraceLogFormat::kChunkRecords + 555);
+    auto logs = encodings(c);
+    for (int enc = 0; enc < 3; ++enc) {
+        const std::vector<uint8_t> &log = logs[enc];
+        TraceLogInfo info = inspectTraceLog(log.data(), log.size());
+        size_t largest = 0;
+        for (const TraceLogChunkInfo &ci : info.chunks)
+            largest = std::max<size_t>(
+                largest, chunkHead(info.version) + ci.payloadBytes + 4);
+        ReplayJob job{c.tea, "", &log, c.compiled};
+        StreamResult want = runReplayJob(job, LookupConfig{});
+        ASSERT_TRUE(want.ok()) << want.error;
+        for (size_t step : {1, 3, 64, 1000, 4096}) {
+            SCOPED_TRACE(std::to_string(enc) + ", pushes of " +
+                         std::to_string(step));
+            TeaReplayer replayer(c.compiled, LookupConfig{});
+            TraceLogPushReader reader(c.compiled.get());
+            size_t held = 0;
+            for (size_t at = 0; at < log.size(); at += step) {
+                reader.push(log.data() + at,
+                            std::min(step, log.size() - at), replayer);
+                held = std::max(held, reader.heldBytes());
+            }
+            reader.finish();
+            EXPECT_LT(held, largest);
+            EXPECT_EQ(reader.heldBytes(), 0u);
+            EXPECT_EQ(reader.times().chunks, info.chunks.size());
+            EXPECT_EQ(replayer.stats(), want.stats);
+            for (StateId id = 0; id < replayer.numStates(); ++id)
+                ASSERT_EQ(replayer.execCount(id), want.execCounts[id]);
+        }
+    }
+}
+
+TEST(PushReader, ResetReadsTheNextLogAfterADefect)
+{
+    // A reader spent by a defect reads a good log after reset(), and a
+    // replayer rebound to another automaton — across kernels, and
+    // after being emptied — replays as a fresh one.
+    FusedCase a = randomCase(43, 2 * TraceLogFormat::kChunkRecords + 9);
+    FusedCase b = randomCase(47, TraceLogFormat::kChunkRecords + 300);
+    auto logsA = encodings(a);
+    auto logsB = encodings(b);
+    std::vector<uint8_t> torn(logsA[1].begin(), logsA[1].end() - 1);
+    LookupConfig reference;
+    reference.useCompiled = false;
+    TraceLogPushReader reader(a.compiled.get());
+    TeaReplayer replayer(*a.tea, reference);
+    reader.push(torn.data(), torn.size(), replayer);
+    EXPECT_THROW(reader.finish(), FatalError);
+
+    ReplayJob job{b.tea, "", &logsB[2], b.compiled};
+    StreamResult want = runReplayJob(job, LookupConfig{});
+    ASSERT_TRUE(want.ok()) << want.error;
+    replayer.rebind(nullptr, LookupConfig{});
+    EXPECT_EQ(replayer.numStates(), 0u);
+    replayer.rebind(b.compiled, LookupConfig{});
+    reader.reset(b.compiled.get());
+    reader.push(logsB[2].data(), logsB[2].size(), replayer);
+    reader.finish();
+    EXPECT_EQ(replayer.stats(), want.stats);
+    ASSERT_EQ(replayer.numStates(), want.execCounts.size());
+    for (StateId id = 0; id < replayer.numStates(); ++id)
+        ASSERT_EQ(replayer.execCount(id), want.execCounts[id]);
+    EXPECT_THROW(replayer.rebind(b.compiled, reference), FatalError);
 }
 
 TEST(FusedReplay, SalvageDropsATornChunkWhole)
