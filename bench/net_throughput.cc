@@ -1,11 +1,12 @@
 /**
  * @file
- * Networked replay throughput: loopback streams/sec at 1, 2, 4, ...
- * concurrent clients against a TeaServer.
+ * Networked replay under load: 8 concurrent loopback clients against a
+ * TeaServer, with idle connections parked on it or a /metrics scraper
+ * sharing its listener.
  *
  * Records one `syn.gzip` trace log, uploads the automaton once, then
- * replays a fixed batch of streams through N client threads (server
- * sized to N workers). At every scale the client-side results are
+ * replays a fixed batch of streams through 8 client threads (server
+ * sized to 8 workers). In every row the client-side results are
  * checked bit-identical to a local ReplayService::runBatch over the
  * same jobs: per-stream stats, per-stream profiles, and the merged
  * per-TBB profile — the wire adds framing, never drift.
@@ -15,9 +16,11 @@
  * event loop a few hundred bytes and no thread, so the batch runs at
  * full speed with 512+ spectators.
  *
- * Note the speedup column measures the *host*: on a single-core
- * container every client count necessarily lands near 1.0x, and the
- * delta between net and local streams/sec is the protocol cost.
+ * There is no client-count sweep: an 8-client speedup over one client
+ * read 1.96x in one run and 3.95x in another on the same binary, so it
+ * measured connect jitter, not replay throughput. Remote/local bit
+ * identity at many clients is what tests/test_net.cc and
+ * tests/test_chaos.cc assert.
  *
  * The wire KB/req column counts both directions of every client's
  * socket, divided by the number of replay requests. (The v1-vs-v2
@@ -77,6 +80,9 @@ recordLog(const Program &prog)
     return bytes;
 }
 
+/** Client threads (and server workers) of every row. */
+constexpr unsigned kClients = 8;
+
 /** Scraped and quiet 8-client batches the scrape gate compares. */
 constexpr int kScrapeRounds = 9;
 
@@ -134,35 +140,29 @@ main(int argc, char **argv)
         std::fprintf(stderr, "local reference batch failed\n");
         return 1;
     }
-    Stopwatch localTimer;
-    local.runBatch(jobs);
-    double localMs = localTimer.elapsedMillis();
 
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::printf("net_throughput: %zu streams of %.1f MiB over loopback "
-                "TCP, host has %u hardware threads "
-                "(local 1-worker batch: %.1f ms)\n",
+                "TCP from %u clients, host has %u hardware threads\n",
                 streams, static_cast<double>(log.size()) / (1 << 20),
-                hw, localMs);
+                kClients, hw);
 
-    TextTable table({"run", "clients", "held", "batch ms", "streams/s",
-                     "speedup", "wire KB/req"});
-    double base_sps = 0.0;  // the 1-client speedup baseline
+    TextTable table({"run", "held", "batch ms", "streams/s",
+                     "wire KB/req"});
 
     // One measured configuration, a table row labelled `run`:
-    // `clients` threads splitting the batch of `ref` round-robin
+    // kClients threads splitting the batch of `ref` round-robin
     // against a fresh server, with `heldOpen` extra idle connections
     // parked on it and (when `scrape` is set) a concurrent 1 Hz HTTP
     // /metrics scraper on the same listener for the duration. Every
     // result must equal `ref`'s. Returns streams/sec, or a negative
     // value after printing the failure.
-    auto runScale = [&](const char *run, unsigned clients,
-                        size_t heldOpen, bool scrape,
-                        const BatchResult &ref) -> double {
+    auto runRow = [&](const char *run, size_t heldOpen, bool scrape,
+                      const BatchResult &ref) -> double {
         size_t batch = ref.streams.size();
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
-        cfg.workers = clients;
+        cfg.workers = kClients;
         TeaServer server(cfg);
         server.start();
         std::string ep = server.endpoint();
@@ -215,17 +215,17 @@ main(int argc, char **argv)
         // Streams round-robined over the clients; every client keeps
         // its connection for its whole share of the batch.
         std::vector<StreamResult> results(batch);
-        std::vector<int> failed(clients, 0);
-        std::vector<uint64_t> wire(clients, 0);
+        std::vector<int> failed(kClients, 0);
+        std::vector<uint64_t> wire(kClients, 0);
         Stopwatch timer;
         std::vector<std::thread> threads;
-        for (unsigned c = 0; c < clients; ++c) {
+        for (unsigned c = 0; c < kClients; ++c) {
             threads.emplace_back([&, c] {
                 try {
                     TeaClient client = TeaClient::connect(ep);
                     RemoteReplayOptions opt;
                     opt.wantProfile = true;
-                    for (size_t s = c; s < batch; s += clients) {
+                    for (size_t s = c; s < batch; s += kClients) {
                         RemoteReplayResult r =
                             client.replay("gzip", log, opt);
                         results[s].stats = r.stats;
@@ -254,7 +254,7 @@ main(int argc, char **argv)
                 return -1.0;
             }
         }
-        for (unsigned c = 0; c < clients; ++c)
+        for (unsigned c = 0; c < kClients; ++c)
             if (failed[c])
                 return -1.0;
         held.clear();
@@ -267,30 +267,25 @@ main(int argc, char **argv)
                 results[s].execCounts != ref.streams[s].execCounts) {
                 std::fprintf(stderr,
                              "stream %zu diverges from the local batch "
-                             "(%u clients)\n",
-                             s, clients);
+                             "(%s row)\n",
+                             s, run);
                 return -1.0;
             }
             for (size_t i = 0; i < results[s].execCounts.size(); ++i)
                 merged[i] += results[s].execCounts[i];
         }
         if (merged != ref.mergedExecCounts) {
-            std::fprintf(stderr, "merged profile diverges (%u clients)\n",
-                         clients);
+            std::fprintf(stderr, "merged profile diverges (%s row)\n",
+                         run);
             return -1.0;
         }
 
         double sps = ms > 0 ? 1e3 * static_cast<double>(batch) / ms : 0;
-        if (clients == 1 && heldOpen == 0 && !scrape)
-            base_sps = sps;
         uint64_t wire_total = 0;
         for (uint64_t b : wire)
             wire_total += b;
-        table.addRow({run, std::to_string(clients),
-                      std::to_string(heldOpen), TextTable::num(ms, 1),
+        table.addRow({run, std::to_string(heldOpen), TextTable::num(ms, 1),
                       TextTable::num(sps, 1),
-                      TextTable::num(base_sps > 0 ? sps / base_sps : 0.0,
-                                     2),
                       TextTable::num(static_cast<double>(wire_total) /
                                          static_cast<double>(batch) /
                                          1024.0,
@@ -298,15 +293,8 @@ main(int argc, char **argv)
         return sps;
     };
 
-    // The scaling sweep runs to at least 8 clients, the configuration
-    // the held and scrape rows repeat.
-    for (unsigned clients = 1; clients <= std::max(8u, hw); clients *= 2)
-        if (runScale("scale", clients, 0, false, reference) < 0)
-            return 1;
-
     // The held-open pile: 8 clients replaying past the idle spectators.
-    if (held_open > 0 &&
-        runScale("held", 8, held_open, false, reference) < 0)
+    if (held_open > 0 && runRow("held", held_open, false, reference) < 0)
         return 1;
 
     // The scrape gate's rounds: the same 8-client batch without and
@@ -314,15 +302,15 @@ main(int argc, char **argv)
     std::vector<double> quiet;
     std::vector<double> scraped;
     for (int round = 0; round < kScrapeRounds; ++round) {
-        quiet.push_back(runScale("quiet", 8, 0, false, scrapeReference));
-        scraped.push_back(runScale("scrape", 8, 0, true, scrapeReference));
+        quiet.push_back(runRow("quiet", 0, false, scrapeReference));
+        scraped.push_back(runRow("scrape", 0, true, scrapeReference));
         if (quiet.back() < 0 || scraped.back() < 0)
             return 1;
     }
 
     std::fputs(table.render().c_str(), stdout);
     std::printf("(remote results bit-identical to the local batch in "
-                "every configuration; held = idle connections parked "
+                "every row; held = idle connections parked "
                 "on the server for the whole batch)\n");
 
     double scraped_sps = median(scraped);

@@ -283,7 +283,7 @@ TeaServer::port() const
 std::unique_ptr<Session>
 TeaServer::makeSession(uint64_t connId)
 {
-    auto session = std::make_unique<Session>(registry_, cfg.lookup);
+    auto session = std::make_unique<Session>(registry_);
     session->setStore(store_.get());
     session->setRecorder(recSvc_.get(), cfg.recordSwapInterval);
     session->setStatusFn([this] {

@@ -58,7 +58,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "svc/registry.hh"
-#include "svc/replay_service.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
 
@@ -100,8 +99,6 @@ struct ServerConfig
     uint32_t slowRequestMs = 0;
     /** Span ring capacity (entries; rounded up to a power of two). */
     size_t traceRing = 1024;
-    /** Default lookup configuration for replays (per-stream flags win). */
-    LookupConfig lookup;
     /**
      * Persistent automaton store directory (store/store.hh); empty
      * disables the store and keeps the RAM-only registry. With a store,

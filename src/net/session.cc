@@ -209,7 +209,6 @@ Session::walkStream(const uint8_t *data, size_t len, bool end)
         // A stream counts once its replay starts: at its first chunk,
         // or at REPLAY_END when it sent none.
         streamCounted = true;
-        ++replays;
         if (ob.replays != nullptr)
             ob.replays->inc();
         if (streamReplaysBy != nullptr)
@@ -264,19 +263,16 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
         if (name.empty())
             fatal("automaton name must not be empty");
         Tea tea = loadTea(r.rest()); // validates; throws on corruption
-        uint32_t numStates;
-        if (store != nullptr) {
-            // Write-through: compile once, land the .teac on disk
-            // atomically, and make the snapshot resident.
-            auto snap = store->put(
-                name, std::make_shared<const Tea>(std::move(tea)));
-            numStates = snap.compiled->numStates();
-        } else {
-            auto snap = registry.put(name, std::move(tea));
-            numStates = static_cast<uint32_t>(snap->numStates());
-        }
+        // Either way one compile, and only the image stays resident.
+        // With a store the .teac also lands on disk atomically.
+        std::shared_ptr<const CompiledTea> compiled =
+            store != nullptr
+                ? store->put(name,
+                             std::make_shared<const Tea>(std::move(tea)))
+                      .compiled
+                : registry.put(name, std::move(tea));
         PayloadWriter w;
-        w.u32(numStates);
+        w.u32(compiled->numStates());
         reply(out, MsgType::PutOk, w);
         return;
     }
@@ -388,13 +384,12 @@ Session::handleRequest(const FrameView &frame, std::vector<uint8_t> &out)
         if ((flags & ReplayFlags::kReference) != 0)
             streamCfg.useCompiled = false;
         if (!streamCfg.useCompiled) {
-            // The reference kernel walks a Tea; a snapshot without one
-            // (a mapped image, a recording's publish) rebuilds it from
+            // The reference kernel walks a Tea; the registry holds
+            // only compiled images, so the stream rebuilds one from
             // its sections per request — a diagnostic escape hatch,
             // not a hot path.
-            if (!stream.tea)
-                stream.tea = std::make_shared<const Tea>(
-                    stream.compiled->rehydrateTea());
+            stream.tea = std::make_shared<const Tea>(
+                stream.compiled->rehydrateTea());
             streamReplayer.emplace(*stream.tea, streamCfg);
         } else if (streamReplayer) {
             streamReplayer->rebind(stream.compiled, streamCfg);

@@ -88,6 +88,11 @@ struct SessionObs
 class Session
 {
   public:
+    /**
+     * `lookup` is every stream's base configuration. REPLAY_BEGIN's
+     * flag bits then pick the global index, the local caches and the
+     * kernel per stream; they are the one selector a client has.
+     */
     Session(AutomatonRegistry &registry, LookupConfig lookup = {});
 
     /**
@@ -200,12 +205,6 @@ class Session
     std::vector<obs::Span> takeRequestSpans();
 
     /**
-     * Streams replayed by this session (served + failed), each counted
-     * when its walk starts: its first REPLAY_CHUNK, or REPLAY_END.
-     */
-    uint64_t replaysRun() const { return replays; }
-
-    /**
      * Lower the per-stream byte budget (default Wire::kMaxLogBytes):
      * the REPLAY_CHUNK bytes one stream may send, counted, not held. A
      * testing seam: the fuzz tests prove it trips with kilobytes.
@@ -252,15 +251,15 @@ class Session
     std::function<std::string(bool text)> statsFn;
     SessionObs ob;
     State state = State::ExpectHello;
-    uint64_t replays = 0;
     uint64_t reqBegun = 0;
     uint64_t reqDone = 0;
     std::vector<obs::Span> reqSpans; ///< since last takeRequestSpans()
     size_t maxLogBytes = Wire::kMaxLogBytes;
 
     // REPLAY_BEGIN .. REPLAY_END stream in progress. The snapshot
-    // pins both the automaton and its registry-shared CompiledTea, so
-    // the replay never compiles and eviction never invalidates it.
+    // pins the registry-shared CompiledTea, so the replay never
+    // compiles and eviction never invalidates it; a reference-kernel
+    // stream adds the Tea it rehydrated from that image.
     // The reader and the replayer are reused stream after stream:
     // they keep their storage, not the automaton (closeStream()).
     AutomatonSnapshot stream;          ///< pinned snapshot

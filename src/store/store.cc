@@ -96,14 +96,13 @@ AutomatonStore::get(const std::string &name)
         mmapLoads->inc();
     if (faultsBy)
         faultsBy->at(name).inc();
-    AutomatonSnapshot out =
-        registry.putCompiled(name, AutomatonSnapshot{nullptr, compiled});
+    registry.replace(name, compiled);
     {
         std::lock_guard<std::mutex> lock(mu);
         insertLocked(name, compiled->footprintBytes());
         enforceBudgetLocked(name);
     }
-    return out;
+    return AutomatonSnapshot{nullptr, std::move(compiled)};
 }
 
 AutomatonSnapshot
@@ -115,20 +114,20 @@ AutomatonStore::put(const std::string &name,
     TEA_ASSERT(tea != nullptr, "storing a null automaton");
 
     // Compile and write through before anything becomes visible: if
-    // the disk write fails, neither tier changes.
-    auto compiled = CompiledTea::compile(tea);
+    // the disk write fails, neither tier changes. Only the image goes
+    // resident; the caller's Tea is not retained.
+    auto compiled = CompiledTea::compile(std::move(tea));
     saveTeacFile(*compiled, pathFor(name));
-    AutomatonSnapshot out = registry.putCompiled(
-        name, AutomatonSnapshot{std::move(tea), compiled});
+    registry.replace(name, compiled);
     {
         std::lock_guard<std::mutex> lock(mu);
         insertLocked(name, compiled->footprintBytes());
         enforceBudgetLocked(name);
     }
-    return out;
+    return AutomatonSnapshot{nullptr, std::move(compiled)};
 }
 
-AutomatonSnapshot
+std::shared_ptr<const CompiledTea>
 AutomatonStore::replaceResident(const std::string &name,
                                 std::shared_ptr<const CompiledTea> compiled)
 {
@@ -136,7 +135,7 @@ AutomatonStore::replaceResident(const std::string &name,
         fatal("store: invalid automaton name '%s'", name.c_str());
     TEA_ASSERT(compiled != nullptr, "swapping in a null compiled image");
     size_t bytes = compiled->footprintBytes();
-    AutomatonSnapshot prev = registry.replace(name, std::move(compiled));
+    auto prev = registry.replace(name, std::move(compiled));
     {
         std::lock_guard<std::mutex> lock(mu);
         insertLocked(name, bytes);

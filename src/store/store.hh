@@ -16,7 +16,8 @@
  * validation pass, zero deserialization — no Tea is ever built, and
  * CompiledTea::compileCount() provably does not move. PUT compiles,
  * writes through to disk (atomic tmp+rename, so a crash or concurrent
- * reader never sees a torn file), and installs the snapshot resident.
+ * reader never sees a torn file), and installs only the compiled image
+ * resident; no Tea stays beside it.
  *
  * Eviction: when `maxResidentBytes` or `maxResident` is exceeded, the
  * least-recently-used names are dropped from the registry (their files
@@ -110,7 +111,8 @@ class AutomatonStore
 
     /**
      * Install an automaton: compile, write `<dir>/<name>.teac` through
-     * atomically, and make it resident. @return the resident snapshot.
+     * atomically, and make the compiled image resident (`tea` is not
+     * retained). @return the resident snapshot (`compiled` only).
      * @throws FatalError on invalid names or I/O failure
      */
     AutomatonSnapshot put(const std::string &name,
@@ -122,10 +124,10 @@ class AutomatonStore
      * compiled footprint takes over the old charge and the name moves
      * to MRU). The recording service calls this on every publish;
      * writeThrough() persists a swapped snapshot when it is worth a
-     * disk write. @return the displaced snapshot (empty when the name
-     * was new). @throws FatalError on invalid names
+     * disk write. @return the displaced image (null when the name was
+     * new). @throws FatalError on invalid names
      */
-    AutomatonSnapshot
+    std::shared_ptr<const CompiledTea>
     replaceResident(const std::string &name,
                     std::shared_ptr<const CompiledTea> compiled);
 

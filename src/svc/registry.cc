@@ -19,54 +19,32 @@ AutomatonRegistry::shardFor(const std::string &name) const
     return shards[std::hash<std::string>{}(name) % shards.size()];
 }
 
-std::shared_ptr<const Tea>
+std::shared_ptr<const CompiledTea>
 AutomatonRegistry::put(const std::string &name, Tea tea)
 {
-    auto snapshot = std::make_shared<const Tea>(std::move(tea));
     // Compile outside the shard lock: one flat image per put, shared
-    // by every replay that later pins this name.
-    auto compiled = CompiledTea::compile(snapshot);
-    putCompiled(name, AutomatonSnapshot{snapshot, std::move(compiled)});
-    return snapshot;
+    // by every replay that later pins this name. The Tea dies here.
+    auto compiled = std::make_shared<const CompiledTea>(tea);
+    replace(name, compiled);
+    return compiled;
 }
 
-AutomatonSnapshot
-AutomatonRegistry::putCompiled(const std::string &name,
-                               AutomatonSnapshot snap)
-{
-    TEA_ASSERT(snap.compiled != nullptr,
-               "registering a null compiled image");
-    Shard &shard = shardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map[name] = snap;
-    return snap;
-}
-
-AutomatonSnapshot
+std::shared_ptr<const CompiledTea>
 AutomatonRegistry::replace(const std::string &name,
                            std::shared_ptr<const CompiledTea> compiled)
 {
-    TEA_ASSERT(compiled != nullptr, "swapping in a null compiled image");
-    AutomatonSnapshot next{nullptr, std::move(compiled)};
+    TEA_ASSERT(compiled != nullptr, "installing a null compiled image");
     Shard &shard = shardFor(name);
     std::lock_guard<std::mutex> lock(shard.mu);
-    AutomatonSnapshot &slot = shard.map[name];
-    AutomatonSnapshot prev = slot;
-    slot = std::move(next);
-    return prev;
+    compiled.swap(shard.map[name]);
+    return compiled;
 }
 
-std::shared_ptr<const Tea>
+std::shared_ptr<const CompiledTea>
 AutomatonRegistry::loadFile(const std::string &name,
                             const std::string &path)
 {
     return put(name, loadTeaFile(path));
-}
-
-std::shared_ptr<const Tea>
-AutomatonRegistry::get(const std::string &name) const
-{
-    return snapshot(name).tea;
 }
 
 AutomatonSnapshot
@@ -75,7 +53,8 @@ AutomatonRegistry::snapshot(const std::string &name) const
     Shard &shard = shardFor(name);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(name);
-    return it == shard.map.end() ? AutomatonSnapshot{} : it->second;
+    return it == shard.map.end() ? AutomatonSnapshot{}
+                                 : AutomatonSnapshot{nullptr, it->second};
 }
 
 bool
@@ -92,7 +71,7 @@ AutomatonRegistry::list() const
     std::vector<std::string> names;
     for (Shard &shard : shards) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[name, tea] : shard.map)
+        for (const auto &[name, compiled] : shard.map)
             names.push_back(name);
     }
     std::sort(names.begin(), names.end());
@@ -116,9 +95,8 @@ AutomatonRegistry::footprintBytes() const
     size_t bytes = 0;
     for (Shard &shard : shards) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[name, snap] : shard.map)
-            if (snap.compiled)
-                bytes += snap.compiled->footprintBytes();
+        for (const auto &[name, compiled] : shard.map)
+            bytes += compiled->footprintBytes();
     }
     return bytes;
 }

@@ -1,20 +1,20 @@
 /**
  * @file
- * A named, sharded store of immutable TEA automata.
+ * A named, sharded store of immutable compiled TEA automata.
  *
- * The replay service resolves jobs against automata by name. Automata
- * are held as `shared_ptr<const Tea>` snapshots: a `Tea` is immutable
- * after construction, so any number of worker threads may replay
- * against the same snapshot lock-free, and evicting a name never
- * invalidates replays already in flight — they keep their reference
- * until the batch drains.
+ * The replay service resolves jobs against automata by name. Each name
+ * holds one `shared_ptr<const CompiledTea>` and nothing else: a
+ * compiled image is immutable and self-describing, so any number of
+ * worker threads may replay against the same snapshot lock-free, and
+ * evicting a name never invalidates replays already in flight — they
+ * keep their reference until the batch drains.
  *
- * put() also compiles the snapshot into a CompiledTea exactly once, so
- * every replay against a registered automaton — svc batch jobs and net
- * sessions alike — shares one flat kernel image instead of each stream
- * re-walking (or re-flattening) the mutable Tea. Each name holds an
- * AutomatonSnapshot pair, so the same eviction guarantee holds for
- * both halves.
+ * put() compiles a `Tea` exactly once and drops it, so every replay
+ * against a registered automaton — svc batch jobs and net sessions
+ * alike — shares one flat kernel image, and the registry's memory is
+ * what footprintBytes() reports. The one path that needs the
+ * pointer-based form, the reference kernel, rebuilds it from the image
+ * on demand (CompiledTea::rehydrateTea()).
  *
  * The name map itself is sharded: each shard has its own mutex, so
  * concurrent lookups of different names do not serialize. Lock scope is
@@ -38,24 +38,22 @@
 namespace tea {
 
 /**
- * A pinned (automaton, compiled image) pair, safe across eviction.
+ * A pinned compiled image, safe across eviction.
  *
- * `tea` may be null while `compiled` is set: automatons faulted in from
- * a persistent store (store/store.hh) are mapped `.teac` images, and a
- * recording publishes its recorder's compiled snapshot; neither
- * materializes a Tea. A CompiledTea is self-describing, so every replay
+ * The registry and the store fill `compiled` only: a put's image, a
+ * mapped `.teac` image faulted in from a persistent store
+ * (store/store.hh), or a recording's published snapshot. Every replay
  * path except the reference kernel works from `compiled` alone; the
- * reference kernel rehydrates the Tea on demand (rehydrateTea()).
+ * reference kernel rehydrates a Tea on demand (rehydrateTea()). `tea`
+ * stays for callers outside the registry that pair a Tea with its
+ * image; nothing here sets it.
  */
 struct AutomatonSnapshot
 {
     std::shared_ptr<const Tea> tea;
     std::shared_ptr<const CompiledTea> compiled;
 
-    explicit operator bool() const
-    {
-        return tea != nullptr || compiled != nullptr;
-    }
+    explicit operator bool() const { return compiled != nullptr; }
 };
 
 class AutomatonRegistry
@@ -65,47 +63,42 @@ class AutomatonRegistry
 
     explicit AutomatonRegistry(size_t shard_count = kDefaultShards);
 
-    /** Install (or replace) an automaton. @return the stored snapshot. */
-    std::shared_ptr<const Tea> put(const std::string &name, Tea tea);
+    /**
+     * Compile `tea` and install (or replace) the image; the Tea is
+     * dropped. @return the stored image
+     */
+    std::shared_ptr<const CompiledTea> put(const std::string &name,
+                                           Tea tea);
 
     /**
-     * Install an already-compiled snapshot: a mapped `.teac` image
-     * (`snap.tea` null) or a compiled automaton with its Tea (the
-     * store's write-through PUT). `snap.compiled` must be set.
-     * @return the stored snapshot
+     * Atomic hot-swap, and the one install of an already-compiled
+     * image (a mapped `.teac`, a store PUT, a recording's publish):
+     * install `compiled` under `name` and return the image it
+     * displaced (null when the name was new). The swap is one pointer
+     * assignment under the shard lock — a concurrent snapshot()
+     * observes either the old image or the new one, never a mix — and
+     * replays that pinned the old image keep it alive through their
+     * shared_ptr until they drain, exactly like eviction. This is the
+     * recording service's publish step: new requests resolve the grown
+     * automaton while in-flight replays finish against the version they
+     * started with.
      */
-    AutomatonSnapshot putCompiled(const std::string &name,
-                                  AutomatonSnapshot snap);
-
-    /**
-     * Atomic hot-swap: install `compiled` (with no Tea) under `name`
-     * and return the snapshot it displaced (empty when the name was
-     * new). The swap is one pointer assignment under the shard lock —
-     * a concurrent snapshot() observes either the old snapshot or the
-     * new one, never a mix — and replays that pinned the old snapshot
-     * keep it alive through their shared_ptr until they drain, exactly
-     * like eviction. This is the recording service's publish step: new
-     * requests resolve the grown automaton while in-flight replays
-     * finish against the version they started with.
-     */
-    AutomatonSnapshot replace(const std::string &name,
-                              std::shared_ptr<const CompiledTea> compiled);
+    std::shared_ptr<const CompiledTea>
+    replace(const std::string &name,
+            std::shared_ptr<const CompiledTea> compiled);
 
     /**
      * Load a serialized TEA (tea/serialize.hh) and install it.
+     * @return the stored image
      * @throws FatalError on unreadable or corrupt files.
      */
-    std::shared_ptr<const Tea> loadFile(const std::string &name,
-                                        const std::string &path);
-
-    /** Snapshot by name, or nullptr when absent. */
-    std::shared_ptr<const Tea> get(const std::string &name) const;
+    std::shared_ptr<const CompiledTea> loadFile(const std::string &name,
+                                                const std::string &path);
 
     /**
-     * Automaton plus its shared CompiledTea (compiled once at put()).
-     * Both empty when the name is absent. The fields co-own the
-     * underlying automaton: replays keep them until done, so eviction
-     * never invalidates an in-flight stream.
+     * The compiled image by name (empty when absent). The snapshot
+     * co-owns the image: replays keep it until done, so eviction never
+     * invalidates an in-flight stream.
      */
     AutomatonSnapshot snapshot(const std::string &name) const;
 
@@ -130,7 +123,8 @@ class AutomatonRegistry
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, AutomatonSnapshot> map;
+        std::unordered_map<std::string, std::shared_ptr<const CompiledTea>>
+            map;
     };
 
     Shard &shardFor(const std::string &name) const;

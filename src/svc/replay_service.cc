@@ -75,8 +75,8 @@ runReplayJob(const ReplayJob &job, LookupConfig cfg)
             log = map->data();
             logLen = map->size();
         }
-        // Compiled-only jobs (store-resident mapped images never carry
-        // a Tea) replay on the snapshot alone; the tea-less constructor
+        // Compiled-only jobs (registry names never carry a Tea)
+        // replay on the snapshot alone; the tea-less constructor
         // rejects configs that need the source automaton.
         TeaReplayer replayer =
             job.tea ? TeaReplayer(*job.tea, cfg, job.compiled)
@@ -133,7 +133,7 @@ ReplayService::runBatch(const std::vector<ReplayJob> &jobs)
     // thread, before any job runs: N streams over one snapshot must
     // share one CompiledTea, not build N (test_registry_stress pins
     // this with CompiledTea::compileCount()). Jobs that arrive with a
-    // compiled snapshot (registry puts) keep it.
+    // compiled snapshot (registry names) keep it.
     std::vector<ReplayJob> staged(jobs);
     if (cfg.useCompiled) {
         std::unordered_map<const Tea *,

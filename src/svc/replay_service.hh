@@ -40,9 +40,9 @@ struct ReplayJob
 {
     /**
      * The source automaton. May be null when `compiled` is set: jobs
-     * against store-faulted mapped images replay on the compiled
-     * snapshot alone (the reference kernel then needs a rehydrated
-     * Tea — net/session.hh does that per-request).
+     * against registry names (which hold only compiled images) replay
+     * on the compiled snapshot alone (the reference kernel then needs
+     * a rehydrated Tea — net/session.hh does that per-request).
      */
     std::shared_ptr<const Tea> tea;
 
@@ -58,7 +58,7 @@ struct ReplayJob
 
     /**
      * Compiled snapshot of `tea`, shared across every job replaying
-     * the same automaton (registry puts compile it; runBatch fills it
+     * the same automaton (a registry name's image; runBatch fills it
      * for ad-hoc jobs). When null and the lookup config selects the
      * compiled kernel, runReplayJob() compiles privately — correct but
      * wasteful for concurrent streams, so batch paths always share.

@@ -52,10 +52,11 @@
  * automaton once at put(), the online recorder once per install, and
  * every svc worker and net session replays against the same
  * `shared_ptr<const CompiledTea>` lock-free. A snapshot never retains
- * the `Tea` it was compiled from (AutomatonSnapshot and ReplayJob carry
- * one where it exists). A mapped CompiledTea co-owns its MappedFile, so
- * LRU eviction in the store can never unmap an image a replay still
- * walks.
+ * the `Tea` it was compiled from, and the registry and the store keep
+ * only the snapshot; rehydrateTea() rebuilds the Tea for the one
+ * caller that needs it, the reference kernel. A mapped CompiledTea
+ * co-owns its MappedFile, so LRU eviction in the store can never unmap
+ * an image a replay still walks.
  */
 
 #ifndef TEA_TEA_COMPILED_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency stress for the AutomatonRegistry: threads racing
- * put/get/evict/list must never corrupt the store, and — the contract
+ * put/snapshot/evict/list must never corrupt the store, and — the contract
  * the whole replay service leans on — evicting a name must never
  * invalidate a snapshot a replay already holds. Run in the sanitize CI
  * job (ASan/UBSan) where a dangling snapshot or a data race in the
@@ -75,13 +75,13 @@ TEST(RegistryStress, RacingPutGetEvictListStaysConsistent)
                 switch ((op + t) % 4) {
                 case 0: {
                     auto snap = reg.put(nameOf(name), Tea(master));
-                    // put returns the stored snapshot, never null.
+                    // put returns the stored image, never null.
                     if (!snap || snap->numStates() != masterStates)
                         failed = true;
                     break;
                 }
                 case 1: {
-                    auto snap = reg.get(nameOf(name));
+                    auto snap = reg.snapshot(nameOf(name)).compiled;
                     // A hit must be a complete automaton — a torn or
                     // half-constructed value would trip this (or ASan).
                     if (snap && snap->numStates() != masterStates)
@@ -113,7 +113,7 @@ TEST(RegistryStress, RacingPutGetEvictListStaysConsistent)
     std::vector<std::string> names = reg.list();
     EXPECT_EQ(names.size(), reg.size());
     for (const std::string &n : names) {
-        auto snap = reg.get(n);
+        auto snap = reg.snapshot(n).compiled;
         ASSERT_NE(snap, nullptr) << n;
         EXPECT_EQ(snap->numStates(), masterStates);
     }
@@ -152,15 +152,16 @@ TEST(RegistryStress, EvictionNeverInvalidatesInFlightReplays)
     for (int t = 0; t < kReplayers; ++t) {
         replayers.emplace_back([&, t] {
             for (int round = 0; round < kRounds; ++round) {
-                // Pin a snapshot the way Session::ReplayBegin does;
-                // the churner may evict it at any point after.
-                std::shared_ptr<const Tea> snap = reg.get("gzip");
+                // Pin the compiled image the way Session::ReplayBegin
+                // does; the churner may evict it at any point after.
+                std::shared_ptr<const CompiledTea> snap =
+                    reg.snapshot("gzip").compiled;
                 if (!snap) {
                     // Lost the race with evict; next round.
                     continue;
                 }
                 StreamResult res = runReplayJob(
-                    ReplayJob{std::move(snap), "", &log},
+                    ReplayJob{nullptr, "", &log, std::move(snap)},
                     LookupConfig{});
                 if (!res.ok()) {
                     errors[t] = res.error;

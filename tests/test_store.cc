@@ -34,6 +34,7 @@
 #include "net/client.hh"
 #include "net/server.hh"
 #include "obs/metrics.hh"
+#include "rec/recording.hh"
 #include "store/store.hh"
 #include "svc/registry.hh"
 #include "svc/replay_service.hh"
@@ -414,7 +415,7 @@ TEST(Store, PutGetEvictListRoundTrip)
     EXPECT_TRUE(store.evictResident("alpha"));
     EXPECT_FALSE(store.evictResident("alpha"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/alpha.teac"));
-    EXPECT_EQ(reg.get("alpha"), nullptr);
+    EXPECT_FALSE(reg.snapshot("alpha"));
 
     uint64_t compiles = CompiledTea::compileCount();
     AutomatonSnapshot cold = store.get("alpha");
@@ -566,9 +567,97 @@ TEST(Store, ByteBudgetNeverThrashesTheNameJustLoaded)
     EXPECT_EQ(store.residentCount(), 1u);
     store.put("two", std::make_shared<const Tea>(makeSyntheticTea(4)));
     EXPECT_EQ(store.residentCount(), 1u);
-    EXPECT_NE(reg.get("two"), nullptr);
-    EXPECT_EQ(reg.get("one"), nullptr);
+    EXPECT_TRUE(reg.snapshot("two"));
+    EXPECT_FALSE(reg.snapshot("one"));
     std::filesystem::remove_all(dir);
+}
+
+TEST(Store, EveryResidentPathHoldsOnlyTheCompiledImage)
+{
+    // Whichever path makes a name resident, the registry holds its
+    // CompiledTea and no Tea. A put compiles once and drops its Tea; a
+    // cold fault-in maps an image and a recording publishes its
+    // recorder's, so neither compiles.
+    std::string dir = freshDir("oneform");
+    std::string teaPath = freshDir("oneform_src") + ".tea";
+    Workload w = Workloads::build("syn.gzip", InputSize::Test);
+    const Tea tea = recordTea(w.program);
+    saveTeaFile(tea, teaPath);
+    std::vector<BlockTransition> stream = recordStream(w.program);
+
+    uint64_t compiles = CompiledTea::compileCount();
+    auto compilesSince = [&compiles] {
+        uint64_t now = CompiledTea::compileCount();
+        uint64_t moved = now - compiles;
+        compiles = now;
+        return moved;
+    };
+    auto holdsOnlyCompiled = [](const AutomatonRegistry &reg,
+                                const std::string &name) {
+        AutomatonSnapshot snap = reg.snapshot(name);
+        EXPECT_NE(snap.compiled, nullptr) << name;
+        EXPECT_EQ(snap.tea, nullptr) << name;
+    };
+
+    AutomatonRegistry reg;
+    AutomatonStore store(reg, StoreConfig{dir});
+
+    reg.put("put", Tea(tea));
+    EXPECT_EQ(compilesSince(), 1u);
+    holdsOnlyCompiled(reg, "put");
+
+    // `teadbt serve name=tea` preloads through loadFile().
+    auto loaded = reg.loadFile("file", teaPath);
+    EXPECT_EQ(compilesSince(), 1u);
+    holdsOnlyCompiled(reg, "file");
+    EXPECT_EQ(saveTea(loaded->rehydrateTea()), saveTea(tea));
+
+    store.put("stored", std::make_shared<const Tea>(tea));
+    EXPECT_EQ(compilesSince(), 1u);
+    holdsOnlyCompiled(reg, "stored");
+
+    ASSERT_TRUE(store.evictResident("stored"));
+    ASSERT_TRUE(store.get("stored")); // cold: mmap fault-in
+    EXPECT_EQ(compilesSince(), 0u);
+    holdsOnlyCompiled(reg, "stored");
+    EXPECT_TRUE(reg.snapshot("stored").compiled->isMapped());
+
+    // A recording compiles at its installs; the publish in finish()
+    // swaps in the recorder's own image and compiles nothing.
+    for (AutomatonStore *via : {static_cast<AutomatonStore *>(nullptr),
+                                &store}) {
+        std::string name = via != nullptr ? "rec-store" : "rec";
+        rec::RecordingConfig cfg;
+        cfg.swapInterval = 1u << 30; // publish only at finish()
+        rec::RecordingSession session(name, reg, via, cfg);
+        for (const BlockTransition &tr : stream)
+            session.feed(tr);
+        EXPECT_FALSE(reg.snapshot(name)) << name;
+        compilesSince();
+        session.finish();
+        EXPECT_EQ(compilesSince(), 0u) << name;
+        holdsOnlyCompiled(reg, name);
+        EXPECT_EQ(reg.snapshot(name).compiled, session.current());
+    }
+
+    // A wire PUT, with and without a store behind the server.
+    for (bool withStore : {false, true}) {
+        ServerConfig cfg;
+        cfg.workers = 1;
+        if (withStore)
+            cfg.storeDir = dir;
+        TeaServer server(cfg);
+        server.start();
+        TeaClient client = TeaClient::connect(server.endpoint());
+        compilesSince();
+        client.putAutomaton("wire", tea);
+        EXPECT_EQ(compilesSince(), 1u) << withStore;
+        holdsOnlyCompiled(server.registry(), "wire");
+        client.close();
+        server.stop();
+    }
+    std::filesystem::remove_all(dir);
+    std::remove(teaPath.c_str());
 }
 
 TEST(Store, MetricsCountHitsMissesLoadsEvictions)

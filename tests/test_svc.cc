@@ -53,12 +53,13 @@ TEST(AutomatonRegistry, PutGetEvictList)
 {
     AutomatonRegistry reg;
     EXPECT_EQ(reg.size(), 0u);
-    EXPECT_EQ(reg.get("gzip"), nullptr);
+    EXPECT_FALSE(reg.snapshot("gzip"));
 
     Workload w = Workloads::build("syn.gzip", InputSize::Test);
     auto snap = reg.put("gzip", recordTea(w.program));
     ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(reg.get("gzip"), snap);
+    EXPECT_EQ(reg.snapshot("gzip").compiled, snap);
+    EXPECT_EQ(reg.snapshot("gzip").tea, nullptr);
     EXPECT_EQ(reg.size(), 1u);
 
     reg.put("mcf", Tea{});
@@ -66,7 +67,7 @@ TEST(AutomatonRegistry, PutGetEvictList)
 
     EXPECT_TRUE(reg.evict("gzip"));
     EXPECT_FALSE(reg.evict("gzip"));
-    EXPECT_EQ(reg.get("gzip"), nullptr);
+    EXPECT_FALSE(reg.snapshot("gzip"));
     EXPECT_EQ(reg.size(), 1u);
 
     // The snapshot survives eviction: replays in flight keep theirs.
@@ -84,7 +85,7 @@ TEST(AutomatonRegistry, LoadFileRoundTrips)
     auto snap = reg.loadFile("gzip", path);
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->numStates(), tea.numStates());
-    EXPECT_EQ(saveTea(*snap), saveTea(tea));
+    EXPECT_EQ(saveTea(snap->rehydrateTea()), saveTea(tea));
     std::remove(path.c_str());
 
     EXPECT_THROW(reg.loadFile("nope", "no-such-file.tea"), FatalError);
@@ -104,7 +105,7 @@ TEST(AutomatonRegistry, ConcurrentReadersAndWriters)
                 if (i % 3 == 0)
                     reg.put(name, Tea{});
                 else if (i % 3 == 1)
-                    (void)reg.get(name);
+                    (void)reg.snapshot(name);
                 else
                     (void)reg.evict(name);
                 if (i % 50 == 0)

@@ -47,6 +47,9 @@ set(cases
     "serve|--listen|tcp:127.0.0.1:0|--history-interval-ms|-1" # negative
     "serve|--listen|tcp:127.0.0.1:0|--history-frames|1" # ring needs 2
     "serve|--listen|tcp:127.0.0.1:0|--flight-dump" # flag without a value
+    "serve|--listen|tcp:127.0.0.1:0|--no-global" # lookup flags are per
+    "serve|--listen|tcp:127.0.0.1:0|--no-local"  # stream: remote-replay
+    "serve|--listen|tcp:127.0.0.1:0|--reference" # sends them
     "flight-dump"             # missing --connect
     "remote-replay"           # missing --connect <name> <log>...
     "remote-replay|--connect|tcp:localhost:9" # missing name and logs

@@ -980,8 +980,7 @@ cmdBatchReplay(const Options &opt)
     // First positional is the serialized TEA; the rest are trace logs.
     if (opt.program.empty() || opt.extraArgs.empty())
         usage();
-    AutomatonRegistry registry;
-    auto tea = registry.loadFile(opt.program, opt.program);
+    auto tea = std::make_shared<const Tea>(loadTeaFile(opt.program));
 
     LookupConfig cfg;
     cfg.useGlobalBTree = !opt.noGlobal;
@@ -989,9 +988,10 @@ cmdBatchReplay(const Options &opt)
     cfg.useCompiled = !opt.reference;
     ReplayService service(static_cast<size_t>(opt.jobs), cfg);
 
-    // Every job shares the registry's compiled snapshot: the batch
-    // compiles nothing per stream.
-    auto compiled = registry.snapshot(opt.program).compiled;
+    // Every job shares one compiled image: the batch compiles nothing
+    // per stream, and under --reference the image still decodes elided
+    // logs.
+    auto compiled = CompiledTea::compile(tea);
     std::vector<ReplayJob> jobsVec;
     jobsVec.reserve(opt.extraArgs.size());
     for (const std::string &log : opt.extraArgs) {
@@ -1148,7 +1148,10 @@ cmdInspect(const Options &opt)
 int
 cmdServe(const Options &opt)
 {
-    if (opt.endpoint.empty())
+    // Lookup flags are per stream: remote-replay sends them in each
+    // REPLAY_BEGIN, and a server has no default of its own.
+    if (opt.endpoint.empty() || opt.noGlobal || opt.noLocal ||
+        opt.reference)
         usage();
     // Positionals preload the registry: each is name=tea-file.
     // Validate the shape before binding anything.
@@ -1181,9 +1184,6 @@ cmdServe(const Options &opt)
     cfg.requestDeadlineMs = static_cast<uint32_t>(opt.requestDeadlineMs);
     cfg.slowRequestMs = static_cast<uint32_t>(opt.slowRequestMs);
     cfg.traceRing = static_cast<size_t>(opt.traceRing);
-    cfg.lookup.useGlobalBTree = !opt.noGlobal;
-    cfg.lookup.useLocalCache = !opt.noLocal;
-    cfg.lookup.useCompiled = !opt.reference;
     cfg.storeDir = opt.storeDir;
     cfg.storeMaxResidentBytes =
         static_cast<size_t>(opt.maxResidentBytes);
@@ -1219,9 +1219,9 @@ cmdServe(const Options &opt)
         std::printf("store: %s (%zu .teac images on disk)\n",
                     opt.storeDir.c_str(), server.store()->list().size());
     for (const auto &[name, path] : preloads) {
-        auto snap = server.registry().loadFile(name, path);
-        std::printf("loaded '%s' from %s (%zu states)\n", name.c_str(),
-                    path.c_str(), snap->numStates());
+        auto compiled = server.registry().loadFile(name, path);
+        std::printf("loaded '%s' from %s (%u states)\n", name.c_str(),
+                    path.c_str(), compiled->numStates());
     }
 
     // Block the shutdown signals before starting, so every thread the
