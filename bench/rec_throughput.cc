@@ -11,16 +11,21 @@
  *                sustain.
  *   real      —  the same loop over a suite program's whole-run
  *                stream at ref size (default syn.gcc, the stream
- *                servebench's record probe sends): the bare
- *                TeaRecorder and a RecordingSession fed 4096-transition
- *                batches. Unlike the synthetic ingest stream, it
- *                installs hundreds of traces into a growing automaton,
- *                so it shows what an install costs as the automaton
- *                grows.
+ *                servebench's record probe sends), once per selector
+ *                (mret, tt, ctt): the bare TeaRecorder, a
+ *                RecordingSession fed 4096-transition batches, and the
+ *                same session bound to the rec.* metrics through
+ *                RecordingService::bindMetrics, as TeaServer binds it.
+ *                Unlike the synthetic ingest stream, it installs
+ *                hundreds of traces into a growing automaton, so it
+ *                shows what an install costs as the automaton grows;
+ *                the bound leg's overhead over the unbound one is the
+ *                cost of the recording's instruments.
  *
- * Asserts bit identity between the session's and the bare recorder's
- * automata on the real stream; --json dumps everything
- * machine-readably. Every time is the minimum over 5 runs.
+ * Asserts bit identity between every leg's automaton on the real
+ * stream, and that the bound leg counted every transition; --json
+ * dumps everything machine-readably. Every time is the minimum over 5
+ * runs, the legs alternating within each run.
  *
  * Usage: rec_throughput [--workload NAME|all] [--json FILE]
  */
@@ -28,10 +33,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "rec/recording.hh"
+#include "rec/service.hh"
 #include "svc/registry.hh"
 #include "tea/recorder.hh"
 #include "tea/serialize.hh"
@@ -81,16 +89,28 @@ appendRegionStream(std::vector<BlockTransition> &out, size_t region,
 /** Every time below is the best of this many runs. */
 constexpr int kReps = 5;
 
+/** The selectors each real stream is recorded with. */
+const char *const kSelectors[] = {"mret", "tt", "ctt"};
+
 /** One suite program's whole-run recording, best of kReps. */
 struct RealStreamRow
 {
     std::string workload;
+    std::string selector;
     size_t transitions = 0;
     size_t traces = 0;
     uint64_t installs = 0;
     uint64_t swaps = 0;
     double recorderMs = 1e300; ///< bare TeaRecorder
     double sessionMs = 1e300;  ///< RecordingSession, batched feed
+    double boundMs = 1e300;    ///< the same session, rec.* bound
+
+    /** The bound leg's time over the unbound one's, in percent. */
+    double
+    boundOverheadPct() const
+    {
+        return (boundMs / sessionMs - 1.0) * 100.0;
+    }
 };
 
 /** A program's block transitions as servebench records and streams
@@ -108,24 +128,39 @@ programStream(const Program &prog)
     return stream;
 }
 
-/**
- * Record `name`'s ref-size stream with the mret selector, alternating
- * the bare recorder and a session in every rep. @return false (after
- * printing why) when the two grow different automata.
- */
-bool
-measureRealStream(const std::string &name, RealStreamRow &row)
+/** Feed `stream` to `session` in RECORD_CHUNK-sized batches. */
+void
+feedChunks(rec::RecordingSession &session,
+           const std::vector<BlockTransition> &stream)
 {
     constexpr size_t kBatch = 4096; // one RECORD_CHUNK's worth
-    std::vector<BlockTransition> stream =
-        programStream(Workloads::build(name, InputSize::Ref).program);
+    for (size_t i = 0; i < stream.size(); i += kBatch)
+        session.feedBatch(stream.data() + i,
+                          std::min(kBatch, stream.size() - i));
+}
+
+/**
+ * Record `stream` (program `name`) with `selector`, alternating the
+ * bare recorder, an unbound session and a bound session in every rep.
+ * @return false (after printing why) when the legs grow different
+ * automata or the bound leg miscounts.
+ */
+bool
+measureRealStream(const std::string &name, const std::string &selector,
+                  const std::vector<BlockTransition> &stream,
+                  RealStreamRow &row)
+{
     row.workload = name;
+    row.selector = selector;
     row.transitions = stream.size();
-    std::vector<uint8_t> recorderTea, sessionTea;
+    rec::RecordingConfig cfg;
+    cfg.selector = selector;
+    std::vector<uint8_t> recorderTea, sessionTea, boundTea;
+    uint64_t counted = 0;
     for (int rep = 0; rep < kReps; ++rep) {
         {
             Stopwatch timer;
-            TeaRecorder recorder(makeSelector("mret"));
+            TeaRecorder recorder(makeSelector(selector));
             for (const BlockTransition &tr : stream)
                 recorder.feed(tr);
             row.recorderMs = std::min(row.recorderMs, timer.elapsedMillis());
@@ -136,20 +171,39 @@ measureRealStream(const std::string &name, RealStreamRow &row)
         {
             AutomatonRegistry registry;
             Stopwatch timer;
-            rec::RecordingSession session(name, registry, nullptr,
-                                          rec::RecordingConfig{});
-            for (size_t i = 0; i < stream.size(); i += kBatch)
-                session.feedBatch(stream.data() + i,
-                                  std::min(kBatch, stream.size() - i));
+            rec::RecordingSession session(name, registry, nullptr, cfg);
+            feedChunks(session, stream);
             rec::RecordingResultSummary sum = session.finish();
             row.sessionMs = std::min(row.sessionMs, timer.elapsedMillis());
             row.swaps = sum.swaps;
             sessionTea = saveTea(session.tea());
         }
+        {
+            obs::MetricsRegistry metrics;
+            AutomatonRegistry registry;
+            rec::RecordingService service(registry);
+            service.bindMetrics(metrics);
+            Stopwatch timer;
+            std::unique_ptr<rec::RecordingSession> session =
+                service.begin(name, cfg);
+            feedChunks(*session, stream);
+            session->finish();
+            row.boundMs = std::min(row.boundMs, timer.elapsedMillis());
+            boundTea = saveTea(session->tea());
+            counted = metrics.counter("rec.transitions").value();
+        }
     }
-    if (sessionTea != recorderTea) {
-        std::fprintf(stderr, "FAIL: %s: session and recorder grew "
-                     "different automata\n", name.c_str());
+    if (sessionTea != recorderTea || boundTea != recorderTea) {
+        std::fprintf(stderr, "FAIL: %s/%s: the recorder and the sessions "
+                     "grew different automata\n", name.c_str(),
+                     selector.c_str());
+        return false;
+    }
+    if (counted != stream.size()) {
+        std::fprintf(stderr, "FAIL: %s/%s: the bound session counted %llu "
+                     "of %zu transitions\n", name.c_str(), selector.c_str(),
+                     static_cast<unsigned long long>(counted),
+                     stream.size());
         return false;
     }
     return true;
@@ -208,9 +262,13 @@ main(int argc, char **argv)
                                          : std::vector<std::string>{
                                                workload};
     for (const std::string &name : names) {
-        real.emplace_back();
-        if (!measureRealStream(name, real.back()))
-            return 1;
+        std::vector<BlockTransition> stream =
+            programStream(Workloads::build(name, InputSize::Ref).program);
+        for (const char *selector : kSelectors) {
+            real.emplace_back();
+            if (!measureRealStream(name, selector, stream, real.back()))
+                return 1;
+        }
     }
 
     std::printf("rec_throughput: %zu-transition stream over %zu "
@@ -223,16 +281,19 @@ main(int argc, char **argv)
     std::printf("session published %llu hot-swaps while ingesting\n",
                 static_cast<unsigned long long>(swaps));
 
-    std::printf("\nreal streams (ref size, mret, best of %d; session "
-                "fed 4096-transition batches):\n",
+    std::printf("\nreal streams (ref size, best of %d; sessions fed "
+                "4096-transition batches, the bound one counting rec.*):\n",
                 kReps);
-    TextTable realTable({"workload", "transitions", "installs",
-                         "recorder ms", "session ms", "session rate"});
+    TextTable realTable({"workload", "selector", "transitions", "installs",
+                         "recorder ms", "session ms", "bound ms",
+                         "bound overhead", "session rate"});
     for (const RealStreamRow &r : real)
         realTable.addRow(
-            {r.workload, TextTable::num(static_cast<uint64_t>(r.transitions)),
+            {r.workload, r.selector,
+             TextTable::num(static_cast<uint64_t>(r.transitions)),
              TextTable::num(r.installs), TextTable::num(r.recorderMs, 2),
-             TextTable::num(r.sessionMs, 2),
+             TextTable::num(r.sessionMs, 2), TextTable::num(r.boundMs, 2),
+             TextTable::num(r.boundOverheadPct(), 1) + "%",
              TextTable::num(mtransPerSec(r.transitions, r.sessionMs), 2) +
                  " M trans/s"});
     std::fputs(realTable.render().c_str(), stdout);
@@ -255,13 +316,16 @@ main(int argc, char **argv)
             const RealStreamRow &r = real[i];
             std::fprintf(
                 f,
-                "    {\"workload\": \"%s\", \"transitions\": %zu, "
-                "\"traces\": %zu, \"installs\": %llu, "
-                "\"recorderMs\": %.3f, \"sessionMs\": %.3f, "
+                "    {\"workload\": \"%s\", \"selector\": \"%s\", "
+                "\"transitions\": %zu, \"traces\": %zu, "
+                "\"installs\": %llu, \"recorderMs\": %.3f, "
+                "\"sessionMs\": %.3f, \"boundSessionMs\": %.3f, "
+                "\"boundOverheadPct\": %.2f, "
                 "\"sessionMtransPerSec\": %.3f, \"swaps\": %llu}%s\n",
-                r.workload.c_str(), r.transitions, r.traces,
-                static_cast<unsigned long long>(r.installs), r.recorderMs,
-                r.sessionMs, mtransPerSec(r.transitions, r.sessionMs),
+                r.workload.c_str(), r.selector.c_str(), r.transitions,
+                r.traces, static_cast<unsigned long long>(r.installs),
+                r.recorderMs, r.sessionMs, r.boundMs, r.boundOverheadPct(),
+                mtransPerSec(r.transitions, r.sessionMs),
                 static_cast<unsigned long long>(r.swaps),
                 i + 1 < real.size() ? "," : "");
         }

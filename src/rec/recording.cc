@@ -27,8 +27,8 @@ RecordingSession::RecordingSession(std::string name,
         fatal("rec: swap interval must be positive");
     if (metrics != nullptr && metrics->sessions != nullptr)
         metrics->sessions->inc();
-    // Resolve the per-automaton ingest series once; feed() then pays
-    // one relaxed fetch_add, not a label-map lookup per transition.
+    // Resolve the per-automaton ingest series once; feedBatch() then
+    // pays one relaxed fetch_add per batch, not a label-map lookup.
     if (metrics != nullptr && metrics->transitionsBy != nullptr)
         transitionsBy_ = &metrics->transitionsBy->at(name_);
 }
@@ -44,22 +44,38 @@ RecordingSession::~RecordingSession()
 void
 RecordingSession::feed(const BlockTransition &tr)
 {
-    TEA_ASSERT(!finished_, "rec: feed after finish");
-    recorder.feed(tr);
-    ++transitionCount;
-    ++sinceSwap;
-    if (metrics != nullptr && metrics->transitions != nullptr)
-        metrics->transitions->inc();
-    if (transitionsBy_ != nullptr)
-        transitionsBy_->inc();
-    maybeSwap();
+    feedBatch(&tr, 1);
 }
 
 void
 RecordingSession::feedBatch(const BlockTransition *batch, size_t n)
 {
-    for (size_t i = 0; i < n; ++i)
-        feed(batch[i]);
+    TEA_ASSERT(!finished_, "rec: feed after finish");
+    const uint64_t before = transitionCount;
+    try {
+        for (size_t i = 0; i < n; ++i) {
+            recorder.feed(batch[i]);
+            ++transitionCount;
+            ++sinceSwap;
+            maybeSwap();
+        }
+    } catch (...) {
+        // A transition the recorder took stays counted, as it stays
+        // in the automaton, even when a later one (or its publish)
+        // throws.
+        countFed(transitionCount - before);
+        throw;
+    }
+    countFed(transitionCount - before);
+}
+
+void
+RecordingSession::countFed(uint64_t n)
+{
+    if (metrics != nullptr && metrics->transitions != nullptr)
+        metrics->transitions->inc(n);
+    if (transitionsBy_ != nullptr)
+        transitionsBy_->inc(n);
 }
 
 void

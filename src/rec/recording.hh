@@ -118,10 +118,17 @@ class RecordingSession
     RecordingSession(const RecordingSession &) = delete;
     RecordingSession &operator=(const RecordingSession &) = delete;
 
-    /** Ingest one transition (single-writer; see file comment). */
+    /** Ingest one transition: feedBatch(&tr, 1). */
     void feed(const BlockTransition &tr);
 
-    /** Ingest a decoded batch — one RECORD_CHUNK's worth. */
+    /**
+     * Ingest a decoded batch — one RECORD_CHUNK's worth — in order
+     * (single-writer; see file comment). The swap check runs after
+     * every transition, so batching never moves a publish. The
+     * rec.transitions counters are bumped once, by the count fed,
+     * when the batch returns or throws: a scrape during a batch lags
+     * by less than one batch, and nothing is counted per transition.
+     */
     void feedBatch(const BlockTransition *batch, size_t n);
 
     /**
@@ -155,6 +162,9 @@ class RecordingSession
 
   private:
     friend class RecordingService;
+
+    /** Bump the rec.transitions counters by `n` fed transitions. */
+    void countFed(uint64_t n);
 
     /** Swap if the interval elapsed and the automaton grew. */
     void maybeSwap();

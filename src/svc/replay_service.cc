@@ -133,19 +133,19 @@ ReplayService::runBatch(const std::vector<ReplayJob> &jobs)
     // thread, before any job runs: N streams over one snapshot must
     // share one CompiledTea, not build N (test_registry_stress pins
     // this with CompiledTea::compileCount()). Jobs that arrive with a
-    // compiled snapshot (registry names) keep it.
+    // compiled snapshot (registry names) keep it. The reference kernel
+    // needs the snapshot too: it is the decode automaton of elided
+    // logs.
     std::vector<ReplayJob> staged(jobs);
-    if (cfg.useCompiled) {
-        std::unordered_map<const Tea *,
-                           std::shared_ptr<const CompiledTea>> compiledBy;
-        for (ReplayJob &job : staged) {
-            if (!job.tea || job.compiled)
-                continue;
-            auto &slot = compiledBy[job.tea.get()];
-            if (!slot)
-                slot = CompiledTea::compile(job.tea);
-            job.compiled = slot;
-        }
+    std::unordered_map<const Tea *, std::shared_ptr<const CompiledTea>>
+        compiledBy;
+    for (ReplayJob &job : staged) {
+        if (!job.tea || job.compiled)
+            continue;
+        auto &slot = compiledBy[job.tea.get()];
+        if (!slot)
+            slot = CompiledTea::compile(job.tea);
+        job.compiled = slot;
     }
 
     for (size_t i = 0; i < staged.size(); ++i) {

@@ -59,9 +59,11 @@ struct ReplayJob
     /**
      * Compiled snapshot of `tea`, shared across every job replaying
      * the same automaton (a registry name's image; runBatch fills it
-     * for ad-hoc jobs). When null and the lookup config selects the
-     * compiled kernel, runReplayJob() compiles privately — correct but
-     * wasteful for concurrent streams, so batch paths always share.
+     * for ad-hoc jobs under either kernel). It is also the decode
+     * automaton of elided logs, so a job without it replays only logs
+     * that elide nothing. When null and the lookup config selects the
+     * compiled kernel, runReplayJob() compiles privately for the walk
+     * — correct but wasteful for concurrent streams.
      */
     std::shared_ptr<const CompiledTea> compiled;
 

@@ -384,6 +384,60 @@ TEST(RecordingSession, SwapsPublishGrowthAndDriveMetrics)
     again->finish();
 }
 
+TEST(RecordingSession, BatchedFeedCountsPerBatchAndSwapsPerTransition)
+{
+    // The same stream fed one transition at a time and in batches
+    // straddling the 500-transition swap grid: the batch path counts
+    // once per batch, yet every counter reads what the per-transition
+    // path read at the same count, and both grow the same automaton.
+    std::vector<BlockTransition> stream = workloadTransitions("syn.gzip");
+    rec::RecordingConfig cfg;
+    cfg.swapInterval = 500;
+
+    obs::MetricsRegistry oneMetrics;
+    AutomatonRegistry oneRegistry;
+    rec::RecordingService oneService(oneRegistry);
+    oneService.bindMetrics(oneMetrics);
+    auto one = oneService.begin("gzip", cfg);
+    // swapsAt[k]: rec.swaps after k transitions fed one at a time.
+    std::vector<uint64_t> swapsAt{0};
+    for (const BlockTransition &tr : stream) {
+        one->feed(tr);
+        swapsAt.push_back(oneMetrics.counter("rec.swaps").value());
+    }
+    ASSERT_GE(swapsAt.back(), 2u) << "the stream must install traces";
+
+    obs::MetricsRegistry metrics;
+    AutomatonRegistry registry;
+    rec::RecordingService service(registry);
+    service.bindMetrics(metrics);
+    auto batched = service.begin("gzip", cfg);
+    obs::Counter &fedTotal = metrics.counter("rec.transitions");
+    obs::Counter &fedByName =
+        metrics.labeledCounter("rec.transitions_by_automaton").at("gzip");
+    const size_t sizes[] = {1, 7, 499, 500, 501, 4096};
+    size_t fed = 0;
+    for (size_t b = 0; fed < stream.size(); ++b) {
+        size_t n = std::min(sizes[b % std::size(sizes)],
+                            stream.size() - fed);
+        batched->feedBatch(stream.data() + fed, n);
+        fed += n;
+        ASSERT_EQ(fedTotal.value(), fed) << "batch " << b;
+        ASSERT_EQ(fedByName.value(), fed) << "batch " << b;
+        ASSERT_EQ(metrics.counter("rec.swaps").value(), swapsAt[fed])
+            << "batch " << b;
+    }
+
+    rec::RecordingResultSummary a = one->finish();
+    rec::RecordingResultSummary b = batched->finish();
+    EXPECT_EQ(b.transitions, a.transitions);
+    EXPECT_EQ(b.traces, a.traces);
+    EXPECT_EQ(b.states, a.states);
+    EXPECT_EQ(b.swaps, a.swaps);
+    EXPECT_EQ(saveTea(batched->tea()), saveTea(one->tea()));
+    EXPECT_EQ(statsBytes(batched->stats()), statsBytes(one->stats()));
+}
+
 TEST(RecordingSession, AbandonmentReleasesTheNameAndKeepsLastSwap)
 {
     obs::MetricsRegistry metrics;

@@ -16,6 +16,7 @@
 #include "svc/replay_service.hh"
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
+#include "tea/compiled.hh"
 #include "tea/serialize.hh"
 #include "util/logging.hh"
 #include "vm/machine.hh"
@@ -30,6 +31,25 @@ recordLog(const Program &prog)
 {
     std::vector<uint8_t> bytes;
     TraceLogWriter writer(&bytes);
+    Machine m(prog);
+    BlockTracker tracker(
+        prog, [&](const BlockTransition &tr) { writer.append(tr); },
+        /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+    m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); }, false);
+    writer.finish();
+    return bytes;
+}
+
+/** Record a workload's stream into an in-memory log that elides every
+ *  transition `automaton` predicts (v2 Elided chunks). */
+std::vector<uint8_t>
+recordElidedLog(const Program &prog,
+                std::shared_ptr<const CompiledTea> automaton)
+{
+    std::vector<uint8_t> bytes;
+    TraceLogOptions opts;
+    opts.elideWith = std::move(automaton);
+    TraceLogWriter writer(&bytes, opts);
     Machine m(prog);
     BlockTracker tracker(
         prog, [&](const BlockTransition &tr) { writer.append(tr); },
@@ -233,6 +253,35 @@ TEST(ReplayService, PerJobFailuresDoNotPoisonTheBatch)
     ReplayStats expect = batch.streams[0].stats;
     expect += batch.streams[3].stats;
     EXPECT_EQ(batch.total, expect);
+}
+
+TEST(ReplayService, ReferenceBatchDecodesElidedLogs)
+{
+    // A Tea-only job carries no decode automaton: the batch compiles
+    // one whatever the kernel, so the reference kernel replays an
+    // elided log exactly as the compiled one does.
+    Workload w = Workloads::build("syn.gzip", InputSize::Test);
+    auto tea = std::make_shared<const Tea>(recordTea(w.program));
+    auto log = recordElidedLog(w.program, CompiledTea::compile(tea));
+    ASSERT_GT(inspectTraceLog(log.data(), log.size()).elidedRecords, 0u);
+
+    ReplayJob job;
+    job.tea = tea;
+    job.logBytes = &log;
+    std::vector<ReplayJob> jobs{job, job};
+    LookupConfig reference;
+    reference.useCompiled = false;
+    BatchResult fast = ReplayService(2).runBatch(jobs);
+    BatchResult ref = ReplayService(2, reference).runBatch(jobs);
+    ASSERT_EQ(fast.failures, 0u) << fast.streams[0].error;
+    ASSERT_EQ(ref.failures, 0u) << ref.streams[0].error;
+    EXPECT_GT(ref.total.transitions, 0u);
+    EXPECT_EQ(ref.total, fast.total);
+    EXPECT_EQ(ref.mergedExecCounts, fast.mergedExecCounts);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(ref.streams[i].stats, fast.streams[i].stats);
+        EXPECT_EQ(ref.streams[i].execCounts, fast.streams[i].execCounts);
+    }
 }
 
 TEST(ReplayService, MixedAutomataSkipProfileMerge)

@@ -988,14 +988,12 @@ cmdBatchReplay(const Options &opt)
     cfg.useCompiled = !opt.reference;
     ReplayService service(static_cast<size_t>(opt.jobs), cfg);
 
-    // Every job shares one compiled image: the batch compiles nothing
-    // per stream, and under --reference the image still decodes elided
-    // logs.
-    auto compiled = CompiledTea::compile(tea);
     std::vector<ReplayJob> jobsVec;
     jobsVec.reserve(opt.extraArgs.size());
     for (const std::string &log : opt.extraArgs) {
-        ReplayJob job{tea, log, nullptr, compiled};
+        ReplayJob job;
+        job.tea = tea;
+        job.logPath = log;
         job.salvage = opt.salvage;
         jobsVec.push_back(std::move(job));
     }
